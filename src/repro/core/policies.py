@@ -85,17 +85,13 @@ class Policy(abc.ABC):
                  seed: int = 0):
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
-        ids = frozenset(master_ids)
-        if not ids:
-            raise ValueError("at least one master/acceptor node is required")
-        if not all(0 <= i < num_nodes for i in ids):
-            raise ValueError("master ids out of range")
         self.num_nodes = num_nodes
-        self.master_ids = ids
-        self._masters = np.array(sorted(ids), dtype=np.intp)
-        self._slaves = np.array(
-            sorted(set(range(num_nodes)) - ids), dtype=np.intp
-        )
+        self._all_nodes = np.arange(num_nodes, dtype=np.intp)
+        #: Shared local and remote routes per node: routes are frozen, so
+        #: every plain decision can return the same object.
+        self._local = tuple(Route(i, remote=False) for i in range(num_nodes))
+        self._remote = tuple(Route(i, remote=True) for i in range(num_nodes))
+        self._set_roles(master_ids)
         self.rng = np.random.default_rng(seed)
 
     def is_master(self, node_id: int) -> bool:
@@ -114,13 +110,19 @@ class Policy(abc.ABC):
         construction.  Subclasses holding derived per-role state extend
         this.
         """
+        self._set_roles(master_ids)
+
+    def _set_roles(self, master_ids: Iterable[int]) -> None:
+        """Validate a master set and rebuild every per-role id cache."""
         ids = frozenset(int(i) for i in master_ids)
         if not ids:
             raise ValueError("at least one master/acceptor node is required")
         if not all(0 <= i < self.num_nodes for i in ids):
             raise ValueError("master ids out of range")
         self.master_ids = ids
-        self._masters = np.array(sorted(ids), dtype=np.intp)
+        #: Plain-int master ids, drawn from on every all-healthy request.
+        self._master_list = sorted(ids)
+        self._masters = np.array(self._master_list, dtype=np.intp)
         self._slaves = np.array(
             sorted(set(range(self.num_nodes)) - ids), dtype=np.intp
         )
@@ -186,10 +188,14 @@ class Policy(abc.ABC):
     def _random_alive_master(self, view: LoadView) -> int:
         """An in-service accepting master; any alive node acts as master
         when the whole master tier is down (emergency promotion)."""
+        all_healthy = getattr(view, "all_healthy", None)
+        if all_healthy is not None and all_healthy():
+            # Same draw as the general path: the pool is every master.
+            masters = self._master_list
+            return masters[self.rng.integers(len(masters))]
         masters = self._alive(view, self._masters)
         if len(masters) == 0:
-            masters = self._alive(
-                view, np.arange(self.num_nodes, dtype=np.intp))
+            masters = self._alive(view, self._all_nodes)
             if len(masters) == 0:
                 raise RuntimeError("no nodes in service")
         return int(masters[self.rng.integers(len(masters))])
@@ -220,15 +226,14 @@ class FlatPolicy(Policy):
                  failure_aware: bool = True):
         super().__init__(num_nodes, range(num_nodes), seed)
         self.failure_aware = failure_aware
-        self._all = np.arange(num_nodes, dtype=np.intp)
 
     def route(self, request: Request, view: LoadView) -> Route:
-        pool = self._alive(view, self._all) if self.failure_aware \
-            else self._all
+        pool = self._alive(view, self._all_nodes) if self.failure_aware \
+            else self._all_nodes
         if len(pool) == 0:
             raise RuntimeError("no nodes in service")
         node = int(pool[self.rng.integers(len(pool))])
-        return Route(node, remote=False)
+        return self._local[node]
 
 
 class DNSAffinityPolicy(Policy):
@@ -256,13 +261,13 @@ class DNSAffinityPolicy(Policy):
         if client < 0:
             node = self._next
             self._next = (self._next + 1) % self.num_nodes
-            return Route(node, remote=False)
+            return self._local[node]
         node = self._bindings.get(client)
         if node is None:
             node = self._next
             self._next = (self._next + 1) % self.num_nodes
             self._bindings[client] = node
-        return Route(node, remote=False)
+        return self._local[node]
 
     @property
     def distinct_bindings(self) -> int:
@@ -283,10 +288,10 @@ class RoundRobinPolicy(Policy):
             node = self._next
             self._next = (self._next + 1) % self.num_nodes
             if not self.failure_aware or view.is_alive(node):
-                return Route(node, remote=False)
+                return self._local[node]
         if self.failure_aware:
             raise RuntimeError("no nodes in service")
-        return Route(self._next, remote=False)
+        return self._local[self._next]
 
 
 class LeastActivePolicy(Policy):
@@ -304,7 +309,7 @@ class LeastActivePolicy(Policy):
         best = min(counts.values())
         ties = [i for i, c in counts.items() if c == best]
         node = ties[int(self.rng.integers(len(ties)))]
-        return Route(node, remote=False)
+        return self._local[node]
 
 
 # -- the master/slave scheduler and its ablations -----------------------------------
@@ -371,13 +376,25 @@ class MSPolicy(Policy):
             self.reservation.observe_arrival(request.kind, view.now)
         accept = self._random_alive_master(view)
         if request.kind is RequestKind.STATIC:
-            return Route(accept, remote=False)
+            return self._local[accept]
         return self._route_dynamic(request, view, accept)
 
-    def _route_dynamic(self, request: Request, view: LoadView,
-                       accept: int) -> Route:
-        slaves = self._alive(view, self._slaves)
-        masters = self._alive(view, self._masters)
+    def _set_roles(self, master_ids: Iterable[int]) -> None:
+        super()._set_roles(master_ids)
+        #: Dynamic-dispatch candidates when every node is healthy and the
+        #: gate admits masters: slaves first, the order ties are broken in.
+        self._both = np.concatenate([self._slaves, self._masters])
+
+    def _candidates(self, view: LoadView):
+        """Dynamic-dispatch candidate ids and the reservation-gate verdict
+        they were chosen under (``None`` where the cap does not apply)."""
+        all_healthy = getattr(view, "all_healthy", None)
+        if all_healthy is not None and all_healthy():
+            slaves, masters, both = self._slaves, self._masters, self._both
+        else:
+            slaves = self._alive(view, self._slaves)
+            masters = self._alive(view, self._masters)
+            both = None
         gate = None
         if len(slaves) == 0:
             candidates = masters
@@ -385,22 +402,33 @@ class MSPolicy(Policy):
             if self.reservation is not None:
                 gate = self.reservation.admit_to_master()
             if gate is None or gate:
-                candidates = np.concatenate([slaves, masters])
+                candidates = (both if both is not None
+                              else np.concatenate([slaves, masters]))
             else:
                 candidates = slaves
         if len(candidates) == 0:
             # Emergency fallback: the reservation cap cannot be honoured
             # when the preferred tier is entirely out of service.
             gate = None
-            candidates = self._alive(
-                view, np.arange(self.num_nodes, dtype=np.intp))
+            candidates = self._alive(view, self._all_nodes)
             if len(candidates) == 0:
                 raise RuntimeError("no nodes in service")
+        return candidates, gate
+
+    def _effective_idle(self, view: LoadView):
+        """Per-node (CPU, disk) availability the RSRC choice ranks by:
+        the reported idle ratios, discounted by work this dispatcher has
+        in flight there."""
+        g = self.herding_discount
+        return (view.cpu_idle_array() * g ** self._outstanding_cpu,
+                view.disk_avail_array() * g ** self._outstanding_disk)
+
+    def _route_dynamic(self, request: Request, view: LoadView,
+                       accept: int) -> Route:
+        candidates, gate = self._candidates(view)
         w = (self.sampler.w(request.type_key) if self.sampler is not None
              else self.default_w)
-        g = self.herding_discount
-        eff_cpu = view.cpu_idle_array() * g ** self._outstanding_cpu
-        eff_disk = view.disk_avail_array() * g ** self._outstanding_disk
+        eff_cpu, eff_disk = self._effective_idle(view)
         node = select_min_rsrc(w, eff_cpu, eff_disk, candidates, self.rng)
         if self.trace_decisions:
             self._stash_decision(w, eff_cpu, eff_disk, node, gate)
@@ -408,8 +436,8 @@ class MSPolicy(Policy):
         self._outstanding_disk[node] += 1.0 - w
         self._dispatched_w[request.req_id] = w
         if self.reservation is not None:
-            self.reservation.record_decision(self.is_master(node))
-        return Route(node, remote=(node != accept))
+            self.reservation.record_decision(node in self.master_ids)
+        return self._remote[node] if node != accept else self._local[node]
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
@@ -423,7 +451,8 @@ class MSPolicy(Policy):
             self.reservation.observe_response(request.kind, response_time)
         # Online refinement of the sampler from real executions keeps the
         # offline estimates fresh (harmless if already trained).
-        if self.sampler is not None and request.is_dynamic:
+        if (self.sampler is not None
+                and request.kind is RequestKind.DYNAMIC):
             self.sampler.observe(request.type_key, request.cpu_demand,
                                  request.io_demand)
 
@@ -490,7 +519,7 @@ class FrontEndMSPolicy(MSPolicy):
         if self.reservation is not None:
             self.reservation.observe_arrival(request.kind, view.now)
         if request.kind is not RequestKind.DYNAMIC:
-            return Route(self.accept_node, remote=False)
+            return self._local[self.accept_node]
         return self._route_dynamic(request, view, self.accept_node)
 
 
@@ -516,12 +545,12 @@ class MSPrimePolicy(Policy):
         self.herding_discount = 0.5
 
     def route(self, request: Request, view: LoadView) -> Route:
-        pool = self._alive(view, np.arange(self.num_nodes, dtype=np.intp))
+        pool = self._alive(view, self._all_nodes)
         if len(pool) == 0:
             raise RuntimeError("no nodes in service")
         accept = int(pool[self.rng.integers(len(pool))])
         if request.kind is RequestKind.STATIC:
-            return Route(accept, remote=False)
+            return self._local[accept]
         w = (self.sampler.w(request.type_key) if self.sampler is not None
              else self.default_w)
         g = self.herding_discount
@@ -536,7 +565,7 @@ class MSPrimePolicy(Policy):
         self._outstanding_cpu[node] += w
         self._outstanding_disk[node] += 1.0 - w
         self._dispatched_w[request.req_id] = w
-        return Route(node, remote=(node != accept))
+        return self._remote[node] if node != accept else self._local[node]
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
@@ -598,44 +627,14 @@ class HeteroMSPolicy(MSPolicy):
         idx = self.rng.choice(len(masters), p=weights / weights.sum())
         return int(masters[idx])
 
-    def _route_dynamic(self, request: Request, view: LoadView,
-                       accept: int) -> Route:
-        slaves = self._alive(view, self._slaves)
-        masters = self._alive(view, self._masters)
-        gate = None
-        if len(slaves) == 0:
-            candidates = masters
-        else:
-            if self.reservation is not None:
-                gate = self.reservation.admit_to_master()
-            if gate is None or gate:
-                candidates = np.concatenate([slaves, masters])
-            else:
-                candidates = slaves
-        if len(candidates) == 0:
-            gate = None
-            candidates = self._alive(
-                view, np.arange(self.num_nodes, dtype=np.intp))
-            if len(candidates) == 0:
-                raise RuntimeError("no nodes in service")
-        w = (self.sampler.w(request.type_key) if self.sampler is not None
-             else self.default_w)
-        g = self.herding_discount
+    def _effective_idle(self, view: LoadView):
         # Effective *capacity* per resource: speed times available ratio,
         # discounted by work this dispatcher has in flight there.
-        eff_cpu = (self.cpu_speeds * view.cpu_idle_array()
-                   * g ** self._outstanding_cpu)
-        eff_disk = (self.disk_speeds * view.disk_avail_array()
-                    * g ** self._outstanding_disk)
-        node = select_min_rsrc(w, eff_cpu, eff_disk, candidates, self.rng)
-        if self.trace_decisions:
-            self._stash_decision(w, eff_cpu, eff_disk, node, gate)
-        self._outstanding_cpu[node] += w
-        self._outstanding_disk[node] += 1.0 - w
-        self._dispatched_w[request.req_id] = w
-        if self.reservation is not None:
-            self.reservation.record_decision(self.is_master(node))
-        return Route(node, remote=(node != accept))
+        g = self.herding_discount
+        return (self.cpu_speeds * view.cpu_idle_array()
+                * g ** self._outstanding_cpu,
+                self.disk_speeds * view.disk_avail_array()
+                * g ** self._outstanding_disk)
 
 
 class RedirectMSPolicy(MSPolicy):

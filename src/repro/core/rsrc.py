@@ -60,18 +60,23 @@ def select_min_rsrc(
     dispatcher fold in work it has sent since the last monitor update.
     """
     cand = np.asarray(candidates, dtype=np.intp)
+    if cand.ndim != 1:
+        cand = cand.reshape(-1)
     if cand.size == 0:
         raise ValueError("candidate set is empty")
-    costs = rsrc_cost(w, cpu_idle[cand], disk_avail[cand])
-    costs = np.atleast_1d(costs)
+    # Cost every node, then pick the candidates out: one gather instead
+    # of two, and the same per-element arithmetic.
+    costs = rsrc_cost(w, cpu_idle, disk_avail)[cand]
     if load_penalty is not None:
         pen = np.asarray(load_penalty, dtype=float)[cand]
         if (pen < 1.0 - 1e-12).any():
             raise ValueError("load_penalty multipliers must be >= 1")
         costs = costs * pen
-    best = costs.min()
+    # Array methods rather than their np.* wrappers: this runs once per
+    # dynamic request.
+    first = int(costs.argmin())
     if rng is None:
-        return int(cand[int(np.argmin(costs))])
-    ties = np.flatnonzero(costs <= best + tie_tolerance)
+        return int(cand[first])
+    ties = (costs <= costs[first] + tie_tolerance).nonzero()[0]
     pick = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
     return int(cand[pick])

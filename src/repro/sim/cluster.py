@@ -115,7 +115,9 @@ class ClusterView:
 
     def all_healthy(self) -> bool:
         """O(1) fast path: every node is in service and trusted."""
-        return self.all_alive() and not self._cluster.monitor.any_suspect
+        cluster = self._cluster
+        return (cluster.alive_count == cluster.cfg.num_nodes
+                and not cluster.monitor.any_suspect)
 
     def healthy_array(self) -> np.ndarray:
         """In-service AND not-suspect membership (fresh array)."""
@@ -210,8 +212,9 @@ class Cluster:
     def submit_many(self, requests: Iterable[Request]) -> int:
         """Schedule a whole trace.  Returns the number of requests queued.
 
-        Batched through :meth:`Engine.call_at_many`: one C-level extend and
-        a single deferred sort instead of one queue insertion per request.
+        Batched through :meth:`Engine.call_at_many`: the arrivals join the
+        engine's sorted bulk run with one sort instead of one heap
+        insertion per request.
         """
         arrive = self._arrive_cb
         n = self.engine.call_at_many(
@@ -241,25 +244,26 @@ class Cluster:
                 mgr.handle_failure(request, "no_capacity")
                 return
             raise
-        if not 0 <= route.node_id < self.cfg.num_nodes:
+        node_id = route.node_id
+        num_nodes = self.cfg.num_nodes
+        if not 0 <= node_id < num_nodes:
             raise ValueError(
                 f"policy routed request {request.req_id} to invalid node "
-                f"{route.node_id}"
+                f"{node_id}"
             )
         if tr is not None:
             ld = self.policy.last_decision
-            tr.record(DISPATCH, request.req_id, route.node_id,
-                      (route.remote, self.policy.is_master(route.node_id))
+            tr.record(DISPATCH, request.req_id, node_id,
+                      (route.remote, self.policy.is_master(node_id))
                       + (ld if ld is not None
                          else (None, None, None, None, None)))
-        if (not self.alive[route.node_id]
-                or self.nodes[route.node_id].failed):
+        if (self.nodes[node_id].failed or (self.alive_count < num_nodes
+                                           and not self.alive[node_id])):
             # A failure-unaware front end (DNS rotation with cached IPs) or
             # an undetected crash: the client's connection attempt fails.
             self.denied_attempts += 1
             if tr is not None:
-                tr.record(DENY, request.req_id, route.node_id,
-                          ("dead_node",))
+                tr.record(DENY, request.req_id, node_id, ("dead_node",))
             if mgr is not None:
                 mgr.handle_failure(request, "dead_node")
             else:
@@ -267,9 +271,10 @@ class Cluster:
                     self.failure_policy.client_retry_timeout,
                     self._arrive_cb, request)
             return
-        latency = self.cfg.network.frontend_latency + route.extra_latency
+        net = self.cfg.network
+        latency = net.frontend_latency + route.extra_latency
         if route.remote:
-            latency += self.cfg.network.remote_cgi_latency
+            latency += net.remote_cgi_latency
         if latency > 0.0:
             self.engine.call_later(latency, self._admit_cb, request, route,
                                    latency)
@@ -277,10 +282,13 @@ class Cluster:
             self._admit(request, route, 0.0)
 
     def _admit(self, request: Request, route: Route, latency: float) -> None:
-        if not self.alive[route.node_id] or self.nodes[route.node_id].failed:
+        node_id = route.node_id
+        node = self.nodes[node_id]
+        if node.failed or (self.alive_count < self.cfg.num_nodes
+                           and not self.alive[node_id]):
             # The node died during the dispatch hop; re-route.
             if self.tracer is not None:
-                self.tracer.record(DENY, request.req_id, route.node_id,
+                self.tracer.record(DENY, request.req_id, node_id,
                                    ("dead_node",))
             if self.resilience is not None:
                 self.resilience.handle_failure(request, "dead_node")
@@ -291,7 +299,7 @@ class Cluster:
         executed = route.substitute if route.substitute is not None \
             else request
         self._routes[executed.req_id] = route
-        self.nodes[route.node_id].admit(executed, dispatch_latency=latency)
+        node.admit(executed, latency)
         if self.resilience is not None:
             self.resilience.on_admitted(request)
 
@@ -426,28 +434,29 @@ class Cluster:
         return self.nodes[node_id].admit(request)
 
     def _on_complete(self, node: Node, proc: SimProcess) -> None:
-        req_id = proc.request.req_id
-        if node.node_id in self._draining:
+        request = proc.request
+        req_id = request.req_id
+        if self._draining and node.node_id in self._draining:
             self._finish_drain(node.node_id)
-        if req_id in self._background_ids:
+        if self._background_ids and req_id in self._background_ids:
             self._background_ids.discard(req_id)
             self.background_completed += 1
             return
         route = self._routes.pop(req_id)
-        on_master = self.policy.is_master(proc.node_id)
+        policy = self.policy
+        node_id = proc.node_id
+        on_master = node_id in policy.master_ids
         if self.tracer is not None:
             # Demand comes from the *executed* request (a cache hit
             # substitutes a cheaper body under the same id), matching what
             # the metrics collector records.
-            self.tracer.record(COMPLETE, req_id, proc.node_id,
-                               (proc.request.demand, route.remote,
-                                on_master))
+            self.tracer.record(COMPLETE, req_id, node_id,
+                               (request.demand, route.remote, on_master))
         self.metrics.record(proc, route.remote, on_master)
-        response = proc.finish_time - proc.request.arrival_time
+        response = proc.finish_time - request.arrival_time
         if self.resilience is not None:
-            self.resilience.on_complete(proc.request, response)
-        self.policy.on_complete(proc.request, response, on_master,
-                                proc.node_id)
+            self.resilience.on_complete(request, response)
+        policy.on_complete(request, response, on_master, node_id)
 
     # -- running ------------------------------------------------------------------
 

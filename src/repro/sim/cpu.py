@@ -52,8 +52,9 @@ class CPU:
     __slots__ = (
         "engine", "cfg", "on_burst_done", "queues", "current",
         "_last_proc", "busy_time", "_slice_start", "_slice_overhead",
-        "_slice_len", "_dispatching", "switches", "preemptions",
-        "_occupied", "_slice_cb", "_tracer",
+        "_slice_len", "switches", "preemptions", "_occupied", "_slice_cb",
+        "_tracer", "_quantum", "_switch_cost", "_period", "_decay",
+        "_per_level", "_top",
     )
 
     def __init__(self, engine: Engine, cfg: CPUConfig,
@@ -68,7 +69,6 @@ class CPU:
         self._slice_start = 0.0
         self._slice_overhead = 0.0
         self._slice_len = 0.0
-        self._dispatching = False
         self.switches = 0
         self.preemptions = 0
         # Bitmask of non-empty run-queue levels: bit i set <=> queues[i]
@@ -80,39 +80,58 @@ class CPU:
         self._slice_cb = self._on_slice_end
         #: Observability tap (set by the cluster; ``None`` = disabled).
         self._tracer = None
+        # Scheduler constants read on every slice.
+        self._quantum = cfg.quantum
+        self._switch_cost = cfg.context_switch_overhead
+        self._period = cfg.priority_update_period
+        self._decay = cfg.usage_decay
+        self._per_level = cfg.usage_per_level
+        self._top = cfg.num_queues - 1
 
     # -- priority bookkeeping ------------------------------------------------
+    # make_runnable and _on_slice_end inline these two on the hot path;
+    # the arithmetic must stay identical to keep runs bit-reproducible.
 
     def _decay_usage(self, proc: SimProcess, now: float) -> None:
-        period = self.cfg.priority_update_period
+        period = self._period
         elapsed = now - proc.usage_stamp
         if elapsed < period:
             return
         periods = int(elapsed / period)
-        proc.cpu_usage *= self.cfg.usage_decay ** periods
+        proc.cpu_usage *= self._decay ** periods
         proc.usage_stamp += periods * period
 
     def _level(self, proc: SimProcess, now: float) -> int:
         self._decay_usage(proc, now)
-        level = int(proc.cpu_usage / self.cfg.usage_per_level)
-        top = self.cfg.num_queues - 1
+        level = int(proc.cpu_usage / self._per_level)
+        top = self._top
         return top if level > top else level
 
     # -- public interface ----------------------------------------------------
 
     def make_runnable(self, proc: SimProcess) -> None:
         """Add a process to the run queue; may preempt the running one."""
-        now = self.engine.now
-        level = self._level(proc, now)
+        period = self._period
+        elapsed = self.engine.now - proc.usage_stamp
+        if elapsed >= period:
+            periods = int(elapsed / period)
+            proc.cpu_usage *= self._decay ** periods
+            proc.usage_stamp += periods * period
+        level = int(proc.cpu_usage / self._per_level)
+        if level > self._top:
+            level = self._top
         proc.priority = level
+        current = self.current
+        if current is None and not self._occupied:
+            # Idle CPU, empty run queue: dispatch would pick this process.
+            self._run(proc)
+            return
         proc.state = ProcState.READY
         self.queues[level].append(proc)
         self._occupied |= 1 << level
-
-        if self.current is None:
-            if not self._dispatching:
-                self._dispatch()
-        elif level < self.current.priority:
+        if current is None:
+            self._dispatch()
+        elif level < current.priority:
             self._preempt()
 
     @property
@@ -151,8 +170,7 @@ class CPU:
                 self._tracer.record(CPU_OFF, proc.request.req_id,
                                     proc.node_id)
             self.current = None
-            if not self._dispatching:
-                self._dispatch()
+            self._dispatch()
             return True
         for level, queue in enumerate(self.queues):
             try:
@@ -176,88 +194,96 @@ class CPU:
             proc.slice_event = None
         if self._tracer is not None:
             self._tracer.record(CPU_OFF, proc.request.req_id, proc.node_id)
-        work_start = self._slice_start + self._slice_overhead
-        work_done = max(0.0, now - work_start)
-        self._account(proc, now - self._slice_start, work_done)
+        work = max(0.0, now - (self._slice_start + self._slice_overhead))
+        self.busy_time += now - self._slice_start
+        proc.cpu_time_used += work
+        self._decay_usage(proc, now)
+        proc.cpu_usage += work
+        proc.burst_remaining -= work
+        self._last_proc = proc
         self.preemptions += 1
         self.current = None
         proc.state = ProcState.READY
         if proc.burst_remaining <= _EPS:
             # The burst happened to finish exactly at the preemption point.
-            self._finish_burst(proc)
+            proc.burst_remaining = 0.0
+            self.on_burst_done(proc)
         else:
             level = self._level(proc, now)
             proc.priority = level
             self.queues[level].append(proc)
             self._occupied |= 1 << level
-        if self.current is None and not self._dispatching:
+        if self.current is None and self._occupied:
             self._dispatch()
 
-    def _account(self, proc: SimProcess, wall: float, work: float) -> None:
-        """Charge a (partial) slice against the process and the CPU."""
-        self.busy_time += wall
-        proc.cpu_time_used += work
-        self._decay_usage(proc, self.engine.now)
-        proc.cpu_usage += work
-        proc.burst_remaining -= work
-        self._last_proc = proc
-
     def _dispatch(self) -> None:
-        """Put the best-priority ready process on the CPU."""
-        self._dispatching = True
-        try:
-            occupied = self._occupied
-            if not occupied:
-                return
-            level = (occupied & -occupied).bit_length() - 1
-            queue = self.queues[level]
-            proc = queue.popleft()
-            proc.priority = level
-            if not queue:
-                self._occupied = occupied & ~(1 << level)
-            now = self.engine.now
-            overhead = (
-                self.cfg.context_switch_overhead
-                if proc is not self._last_proc
-                else 0.0
-            )
+        """Put the best-priority ready process on the CPU (if any)."""
+        occupied = self._occupied
+        if not occupied:
+            return
+        level = (occupied & -occupied).bit_length() - 1
+        queue = self.queues[level]
+        proc = queue.popleft()
+        proc.priority = level
+        if not queue:
+            self._occupied = occupied & ~(1 << level)
+        self._run(proc)
+
+    def _run(self, proc: SimProcess) -> None:
+        """Start a slice of ``proc`` now, charging a context switch when a
+        different process last held the CPU."""
+        if proc is not self._last_proc:
+            overhead = self._switch_cost
             if overhead:
                 self.switches += 1
-            slice_len = min(self.cfg.quantum, proc.burst_remaining)
-            self.current = proc
-            proc.state = ProcState.RUNNING
-            self._slice_start = now
-            self._slice_overhead = overhead
-            self._slice_len = slice_len
-            proc.slice_event = self.engine.schedule(
-                overhead + slice_len, self._slice_cb, proc
-            )
-            if self._tracer is not None:
-                self._tracer.record(CPU_ON, proc.request.req_id,
-                                    proc.node_id)
-        finally:
-            self._dispatching = False
+        else:
+            overhead = 0.0
+        slice_len = proc.burst_remaining
+        if self._quantum < slice_len:
+            slice_len = self._quantum
+        self.current = proc
+        proc.state = ProcState.RUNNING
+        engine = self.engine
+        now = engine.now
+        self._slice_start = now
+        self._slice_overhead = overhead
+        self._slice_len = slice_len
+        proc.slice_event = engine.schedule_at(
+            now + (overhead + slice_len), self._slice_cb, proc
+        )
+        if self._tracer is not None:
+            self._tracer.record(CPU_ON, proc.request.req_id, proc.node_id)
 
     def _on_slice_end(self, proc: SimProcess) -> None:
         assert proc is self.current
         proc.slice_event = None
         if self._tracer is not None:
             self._tracer.record(CPU_OFF, proc.request.req_id, proc.node_id)
-        self._account(proc, self._slice_overhead + self._slice_len, self._slice_len)
+        # Charge the slice to the CPU and the process (decaying the usage
+        # accumulator first, exactly as _decay_usage does).
+        work = self._slice_len
+        self.busy_time += self._slice_overhead + work
+        proc.cpu_time_used += work
+        now = self.engine.now
+        period = self._period
+        elapsed = now - proc.usage_stamp
+        if elapsed >= period:
+            periods = int(elapsed / period)
+            proc.cpu_usage *= self._decay ** periods
+            proc.usage_stamp += periods * period
+        proc.cpu_usage += work
+        proc.burst_remaining -= work
+        self._last_proc = proc
         self.current = None
         if proc.burst_remaining <= _EPS:
-            self._finish_burst(proc)
+            proc.burst_remaining = 0.0
+            self.on_burst_done(proc)
         else:
             # Quantum expiry: requeue at the (now worse) level.
-            now = self.engine.now
             level = self._level(proc, now)
             proc.priority = level
             proc.state = ProcState.READY
             self.queues[level].append(proc)
             self._occupied |= 1 << level
-        if self.current is None and not self._dispatching:
+        if self.current is None and self._occupied:
             self._dispatch()
-
-    def _finish_burst(self, proc: SimProcess) -> None:
-        proc.burst_remaining = 0.0
-        self.on_burst_done(proc)

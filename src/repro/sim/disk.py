@@ -107,8 +107,9 @@ class Disk:
         proc = self.queue.popleft()
         slice_len = min(self.cfg.slice_time, proc.burst_remaining)
         self.current = proc
-        self._current_event = self.engine.schedule(
-            slice_len, self._slice_cb, proc, slice_len)
+        engine = self.engine
+        self._current_event = engine.schedule_at(
+            engine.now + slice_len, self._slice_cb, proc, slice_len)
         if self._tracer is not None:
             self._tracer.record(IO_ON, proc.request.req_id, proc.node_id)
 

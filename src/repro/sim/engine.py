@@ -14,31 +14,33 @@ The seed kernel kept one binary heap and allocated an :class:`Event`
 object per scheduled callback.  Profiling the replay grids showed three
 dominating costs — per-event object allocation, ``heappush``/``heappop``
 on heaps holding an entire trace's arrivals, and cyclic-GC scans
-triggered by event garbage.  The kernel now addresses all three:
+triggered by event garbage.  The kernel addresses all three:
 
-* **Two-tier queue (sorted run + insertion buffer).**  Pending events
-  live in ``_sorted``, a descending-sorted list whose next event is at
-  the *end* (``list.pop()`` is O(1) and releases memory incrementally).
-  Newly scheduled events are appended to an unsorted ``_buffer`` and
-  only folded in when one of them is actually due; the fold cuts the
-  sorted run at the buffer's maximum time with one ``bisect`` and
-  timsort-merges just the tail, so far-future arrivals are never
-  re-scanned.  Submitting a whole trace via :meth:`call_at_many` is a
-  single C-level ``extend``.
+* **Two-tier queue (bulk run + heap).**  Arrivals submitted in bulk via
+  :meth:`call_at_many` (a whole trace) go into ``_bulk``, a list sorted
+  in *descending* ``(time, seq)`` order whose next entry sits at the end,
+  so ``list.pop()`` takes it in O(1).  Everything scheduled one at a time
+  (slices, dispatch hops, monitor ticks) goes onto ``_heap``, a C
+  ``heapq`` that only ever holds the few hundred events in flight.  The
+  loop pops whichever head has the smaller ``(time, seq)``: one tuple
+  comparison per event, and the same total order a single heap would
+  give, FIFO within equal timestamps.
 * **Handle-free fast path.**  Most events are fire-and-forget (request
   arrivals, dispatch hops, worker-slot releases, monitor ticks) and
   never need cancellation.  :meth:`call_later` / :meth:`call_at` store a
   plain ``(time, seq, fn, args)`` tuple — no :class:`Event` object at
-  all.  :meth:`schedule` / :meth:`schedule_at` still return cancellable
-  :class:`Event` handles for the callers that need them (CPU slices,
-  disk slices, resilience deadlines).
+  all.  :meth:`schedule` / :meth:`schedule_at` return cancellable
+  :class:`Event` handles, stored as ``(time, seq, event)``, for the
+  callers that need them (CPU slices, disk slices, resilience deadlines).
 * **Event free-list pooling.**  Fired and dead-on-pop :class:`Event`
-  objects are recycled through a bounded free list instead of being
+  objects are recycled through a free list instead of being
   re-allocated, which keeps steady-state replays from churning the
-  allocator.  Contract: **a handle must not be cancelled after its
-  callback has fired** (every in-tree holder nulls its reference at
-  fire/cancel time); cancelling a *pending* handle any number of times
-  remains safe and idempotent.
+  allocator.  A handle is only allocated when the list is empty, so the
+  list never outgrows the peak number of handles pending at once.
+  Contract: **a handle must not be cancelled after its callback has
+  fired** (every in-tree holder nulls its reference at fire/cancel
+  time); cancelling a *pending* handle any number of times remains safe
+  and idempotent.
 * **GC pause around :meth:`run`.**  Event tuples die by reference
   counting; the cyclic collector only adds allocation-triggered scan
   pauses mid-run, so it is suspended for the duration and restored on
@@ -49,15 +51,11 @@ from __future__ import annotations
 
 import gc
 import itertools
-from bisect import bisect_left
+import sys
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
 
 _INF = float("inf")
-
-#: Upper bound on pooled Event objects kept for reuse (a 128-node cluster
-#: has at most a few hundred cancellable events in flight).
-_FREE_MAX = 1024
-
 
 class Event:
     """A scheduled callback.  Returned by :meth:`Engine.schedule`.
@@ -96,11 +94,6 @@ class Event:
         return f"<Event t={self.time:.6f} seq={self.seq} {state} fn={self.fn!r}>"
 
 
-def _neg_time(entry: tuple) -> float:
-    """bisect key: ``_sorted`` is descending, bisect wants ascending."""
-    return -entry[0]
-
-
 class Engine:
     """Virtual-time event loop.
 
@@ -118,8 +111,8 @@ class Engine:
     1.5
     """
 
-    __slots__ = ("now", "_sorted", "_buffer", "_bnext", "_seq", "_running",
-                 "_processed", "_free", "tracer")
+    __slots__ = ("now", "_bulk", "_heap", "_seq", "_running", "_processed",
+                 "_free", "tracer")
 
     def __init__(self) -> None:
         self.now: float = 0.0
@@ -127,13 +120,11 @@ class Engine:
         #: emits one ``run`` meta span per :meth:`run` call — per-event
         #: tracing lives in the components, keeping the hot loop untouched.
         self.tracer = None
-        #: Descending (time, seq, ...) entries; the next due event is LAST.
-        self._sorted: list = []
-        #: Unsorted newly scheduled entries, folded in lazily by `_merge`.
-        self._buffer: list = []
-        #: Earliest time in `_buffer` (+inf when empty).  Exact, never stale:
-        #: every append updates it and `_merge` resets it.
-        self._bnext: float = _INF
+        #: :meth:`call_at_many` entries in descending (time, seq) order; the
+        #: next due one is LAST.
+        self._bulk: list = []
+        #: Binary heap of every other pending entry.
+        self._heap: list = []
         self._seq = itertools.count()
         self._running = False
         self._processed = 0
@@ -170,9 +161,7 @@ class Engine:
             ev.cancelled = False
         else:
             ev = Event(time, seq, fn, args)
-        self._buffer.append((time, seq, ev))
-        if time < self._bnext:
-            self._bnext = time
+        heappush(self._heap, (time, seq, ev))
         return ev
 
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
@@ -181,10 +170,7 @@ class Engine:
         cancelled — the hot request path."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + delay
-        self._buffer.append((time, next(self._seq), fn, args))
-        if time < self._bnext:
-            self._bnext = time
+        heappush(self._heap, (self.now + delay, next(self._seq), fn, args))
 
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule_at` (no Event handle)."""
@@ -192,69 +178,47 @@ class Engine:
             raise ValueError(
                 f"cannot schedule into the past (t={time} < now={self.now})"
             )
-        self._buffer.append((time, next(self._seq), fn, args))
-        if time < self._bnext:
-            self._bnext = time
+        heappush(self._heap, (time, next(self._seq), fn, args))
 
     def call_at_many(
         self, items: Iterable[Tuple[float, Callable[..., Any], tuple]]
     ) -> int:
-        """Batch fire-and-forget scheduling: one C-level ``extend``.
+        """Batch fire-and-forget scheduling into the bulk run.
 
         ``items`` yields ``(time, fn, args)`` triples (``args`` a tuple).
-        This is how a whole trace's arrivals are submitted: O(n) appends
-        plus a single deferred sort, instead of n heap pushes.  Returns the
-        number of events scheduled.
+        This is how a whole trace's arrivals are submitted: one C-level
+        build and one sort (linear for a time-ordered trace), instead of n
+        heap pushes.  Safe to call at any time, including from a running
+        callback.  Returns the number of events scheduled.
         """
-        buf = self._buffer
         seq = self._seq
-        n = len(buf)
-        buf.extend((t, next(seq), fn, args) for t, fn, args in items)
-        added = len(buf) - n
-        if added:
-            t_min = min(buf[i][0] for i in range(n, len(buf)))
-            if t_min < self.now:
-                del buf[n:]
-                raise ValueError(
-                    f"cannot schedule into the past (t={t_min} < now={self.now})"
-                )
-            if t_min < self._bnext:
-                self._bnext = t_min
-        return added
-
-    # -- queue maintenance --------------------------------------------------
-
-    def _merge(self) -> None:
-        """Fold the insertion buffer into the sorted run.
-
-        Cuts the descending run at the buffer's maximum time, so only the
-        tail that can interleave with the new entries is re-sorted; the
-        far-future prefix (typically a trace's remaining arrivals) is left
-        untouched.  Timsort merges the two mostly-sorted runs in near
-        linear time.
-        """
-        s = self._sorted
-        buf = self._buffer
-        if s:
-            bmax = max(entry[0] for entry in buf)
-            cut = bisect_left(s, -bmax, key=_neg_time)
-            tail = s[cut:]
-            del s[cut:]
-            tail.extend(buf)
-            tail.sort(reverse=True)
-            s.extend(tail)
-        else:
-            s.extend(buf)
-            s.sort(reverse=True)
-        buf.clear()
-        self._bnext = _INF
+        batch = [(t, next(seq), fn, args) for t, fn, args in items]
+        if not batch:
+            return 0
+        t_min = min(entry[0] for entry in batch)
+        if t_min < self.now:
+            raise ValueError(
+                f"cannot schedule into the past (t={t_min} < now={self.now})"
+            )
+        bulk = self._bulk
+        bulk.extend(batch)
+        bulk.sort(reverse=True)
+        return len(batch)
 
     def _recycle(self, ev: Event) -> None:
         ev.fn = None  # type: ignore[assignment]
         ev.args = ()  # drop references; help refcounting
-        free = self._free
-        if len(free) < _FREE_MAX:
-            free.append(ev)
+        self._free.append(ev)
+
+    def _pop(self) -> Optional[tuple]:
+        """Remove and return the next entry of either tier, or ``None``."""
+        heap = self._heap
+        bulk = self._bulk
+        if heap:
+            if bulk and bulk[-1] < heap[0]:
+                return bulk.pop()
+            return heappop(heap)
+        return bulk.pop() if bulk else None
 
     # -- execution ----------------------------------------------------------
 
@@ -280,72 +244,55 @@ class Engine:
             raise RuntimeError("Engine.run() is not reentrant")
         self._running = True
         processed = 0
-        s = self._sorted
+        stop = _INF if until is None else until
+        limit = sys.maxsize if max_events is None else max_events
+        heap = self._heap
+        bulk = self._bulk
+        free = self._free
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
         try:
-            if until is None and max_events is None:
-                # Tight loop for the common run-to-exhaustion case.
-                while True:
-                    if s:
-                        if self._bnext < s[-1][0]:
-                            self._merge()
-                            continue
-                    elif self._buffer:
-                        self._merge()
+            while True:
+                # Take the smaller head of the two tiers, unless it lies
+                # past the stop time.
+                if heap:
+                    entry = heap[0]
+                    if bulk and bulk[-1] < entry:
+                        entry = bulk[-1]
+                        if entry[0] > stop:
+                            break
+                        bulk.pop()
+                    else:
+                        if entry[0] > stop:
+                            break
+                        heappop(heap)
+                elif bulk:
+                    entry = bulk[-1]
+                    if entry[0] > stop:
+                        break
+                    bulk.pop()
+                else:
+                    break
+                if len(entry) == 4:
+                    self.now = entry[0]
+                    entry[2](*entry[3])
+                else:
+                    ev = entry[2]
+                    fn = ev.fn
+                    args = ev.args
+                    ev.fn = None
+                    ev.args = ()
+                    free.append(ev)
+                    if ev.cancelled:
                         continue
-                    else:
-                        break
-                    entry = s.pop()
-                    if len(entry) == 4:
-                        self.now = entry[0]
-                        entry[2](*entry[3])
-                        processed += 1
-                    else:
-                        ev = entry[2]
-                        if ev.cancelled:
-                            self._recycle(ev)
-                            continue
-                        self.now = entry[0]
-                        fn = ev.fn
-                        args = ev.args
-                        self._recycle(ev)
-                        fn(*args)
-                        processed += 1
-            else:
-                while True:
-                    if s:
-                        time = s[-1][0]
-                        if self._bnext < time:
-                            self._merge()
-                            continue
-                    elif self._buffer:
-                        self._merge()
-                        continue
-                    else:
-                        break
-                    if until is not None and time > until:
-                        break
-                    entry = s.pop()
-                    if len(entry) == 4:
-                        self.now = time
-                        entry[2](*entry[3])
-                    else:
-                        ev = entry[2]
-                        if ev.cancelled:
-                            self._recycle(ev)
-                            continue
-                        self.now = time
-                        fn = ev.fn
-                        args = ev.args
-                        self._recycle(ev)
-                        fn(*args)
-                    processed += 1
-                    if max_events is not None and processed > max_events:
-                        raise RuntimeError(
-                            f"exceeded max_events={max_events}; runaway simulation?"
-                        )
+                    self.now = entry[0]
+                    fn(*args)
+                processed += 1
+                if processed > limit:
+                    raise RuntimeError(
+                        f"exceeded max_events={max_events}; runaway simulation?"
+                    )
         finally:
             self._running = False
             self._processed += processed
@@ -359,16 +306,10 @@ class Engine:
 
     def step(self) -> bool:
         """Process a single event.  Returns ``False`` if none remained."""
-        s = self._sorted
         while True:
-            if s:
-                if self._bnext < s[-1][0]:
-                    self._merge()
-            elif self._buffer:
-                self._merge()
-            else:
+            entry = self._pop()
+            if entry is None:
                 return False
-            entry = s.pop()
             if len(entry) == 4:
                 self.now = entry[0]
                 entry[2](*entry[3])
@@ -390,17 +331,19 @@ class Engine:
 
     def peek(self) -> Optional[float]:
         """Virtual time of the next pending event, or ``None``."""
-        if self._buffer:
-            self._merge()
-        s = self._sorted
-        while s:
-            entry = s[-1]
+        heap = self._heap
+        bulk = self._bulk
+        while True:
+            if heap:
+                entry = bulk[-1] if bulk and bulk[-1] < heap[0] else heap[0]
+            elif bulk:
+                entry = bulk[-1]
+            else:
+                return None
             if len(entry) == 3 and entry[2].cancelled:
-                s.pop()
-                self._recycle(entry[2])
+                self._recycle(self._pop()[2])
                 continue
             return entry[0]
-        return None
 
     def iter_pending(self) -> Iterator[Tuple[float, Callable[..., Any]]]:
         """Yield ``(time, fn)`` for every not-yet-cancelled queued event.
@@ -408,16 +351,12 @@ class Engine:
         The supported way to inspect queued work (drain sizing, request
         conservation) without reaching into the queue internals.
         """
-        for entry in self._sorted:
-            if len(entry) == 4:
-                yield entry[0], entry[2]
-            elif not entry[2].cancelled:
-                yield entry[0], entry[2].fn
-        for entry in self._buffer:
-            if len(entry) == 4:
-                yield entry[0], entry[2]
-            elif not entry[2].cancelled:
-                yield entry[0], entry[2].fn
+        for tier in (self._bulk, self._heap):
+            for entry in tier:
+                if len(entry) == 4:
+                    yield entry[0], entry[2]
+                elif not entry[2].cancelled:
+                    yield entry[0], entry[2].fn
 
     @property
     def pending(self) -> int:

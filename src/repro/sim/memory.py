@@ -37,7 +37,8 @@ class MemoryManager:
     """Tracks physical pages of one node and generates fault I/O."""
 
     __slots__ = ("cfg", "free_pages", "resident", "faults", "steals",
-                 "refaults", "_rng", "peak_resident")
+                 "refaults", "_rng", "peak_resident", "_allocatable",
+                 "_miss_base", "_miss_span")
 
     def __init__(self, cfg: MemoryConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -48,6 +49,10 @@ class MemoryManager:
         self.refaults = 0    # pages re-faulted by victims
         self._rng = rng
         self.peak_resident = 0
+        # Read by static_miss_probability, once per static request.
+        self._allocatable = cfg.total_pages - cfg.reserved_pages
+        self._miss_base = cfg.static_miss_base
+        self._miss_span = cfg.static_miss_max - cfg.static_miss_base
 
     # -- admission / release --------------------------------------------------
 
@@ -66,10 +71,13 @@ class MemoryManager:
         self.free_pages -= granted
         proc.resident_pages = granted
         self.resident[proc] = granted
-        total_resident = self.cfg.total_pages - self.cfg.reserved_pages - self.free_pages
+        total_resident = self._allocatable - self.free_pages
         if total_resident > self.peak_resident:
             self.peak_resident = total_resident
-        cold = int(round(granted * self.cfg.coldstart_fraction))
+        fraction = self.cfg.coldstart_fraction
+        if not fraction:
+            return 0
+        cold = int(round(granted * fraction))
         self.faults += cold
         return cold
 
@@ -120,18 +128,17 @@ class MemoryManager:
         claims is a page the file cache loses, which is the paper's
         Section-2 argument for separating static from dynamic processing.
         """
-        base = self.cfg.static_miss_base
-        span = self.cfg.static_miss_max - base
-        return base + span * self.pressure
+        return self._miss_base + self._miss_span * self.pressure
 
     # -- introspection ------------------------------------------------------------
 
     @property
     def used_pages(self) -> int:
-        return self.cfg.total_pages - self.cfg.reserved_pages - self.free_pages
+        return self._allocatable - self.free_pages
 
     @property
     def pressure(self) -> float:
         """Fraction of allocatable memory currently in use, in [0, 1]."""
-        allocatable = self.cfg.total_pages - self.cfg.reserved_pages
-        return self.used_pages / allocatable if allocatable else 1.0
+        allocatable = self._allocatable
+        return ((allocatable - self.free_pages) / allocatable
+                if allocatable else 1.0)

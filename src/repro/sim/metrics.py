@@ -97,10 +97,11 @@ class MetricsCollector:
     def record(self, proc: SimProcess, remote: bool, on_master: bool) -> None:
         """Append one completed request's sample."""
         req = proc.request
+        cpu = req.cpu_demand
         self.arrivals.append(req.arrival_time)
         self.finishes.append(proc.finish_time)
-        self.demands.append(req.demand)
-        self.cpu_demands.append(req.cpu_demand)
+        self.demands.append(cpu + req.io_demand)  # Request.demand, inlined
+        self.cpu_demands.append(cpu)
         self.kinds.append(int(req.kind))
         self.nodes.append(proc.node_id)
         self.remotes.append(remote)

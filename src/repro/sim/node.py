@@ -10,7 +10,7 @@ completes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from repro.sim.process import (
     SimProcess,
     build_plan,
 )
-from repro.workload.request import Request
+from repro.workload.request import Request, RequestKind
 
 
 class Node:
@@ -51,7 +51,8 @@ class Node:
                  "cpu", "disk", "memory", "active", "admitted", "completed",
                  "static_misses", "cpu_speed", "disk_speed", "procs",
                  "failed", "failures", "backlog", "busy_slots", "transfers",
-                 "_release_cb", "_tracer")
+                 "_release_cb", "_tracer", "_max_procs", "_bandwidth",
+                 "_io_chunk")
 
     def __init__(self, engine: Engine, cfg: SimConfig, node_id: int,
                  rng: np.random.Generator,
@@ -61,8 +62,8 @@ class Node:
         self.node_id = node_id
         self.rng = rng
         self.on_complete = on_complete
-        self.cpu = CPU(engine, cfg.cpu, self._on_cpu_burst_done)
-        self.disk = Disk(engine, cfg.disk, self._on_io_burst_done)
+        self.cpu = CPU(engine, cfg.cpu, self._advance)
+        self.disk = Disk(engine, cfg.disk, self._advance)
         self.memory = MemoryManager(cfg.memory, rng)
         self.active = 0
         self.admitted = 0
@@ -71,8 +72,10 @@ class Node:
         #: Heterogeneity: speed multipliers relative to the reference node.
         self.cpu_speed = cfg.node_cpu_speed(node_id)
         self.disk_speed = cfg.node_disk_speed(node_id)
-        #: In-flight processes, for failure handling.
-        self.procs: set = set()
+        #: In-flight processes in admission order, for failure handling (a
+        #: dict, not a set: a crash must restart them in an order that does
+        #: not depend on object addresses).
+        self.procs: Dict[SimProcess, None] = {}
         self.failed = False
         self.failures = 0
         #: Requests waiting for a free server process (listen backlog).
@@ -80,7 +83,13 @@ class Node:
         #: Worker processes in use (serving or draining a response).
         self.busy_slots = 0
         self.transfers = 0
-        #: Cached bound callback (scheduled once per completed request).
+        #: Worker-pool cap (0 = unlimited) and client downlink (0 = no
+        #: transfer phase), read on every admission and completion.
+        self._max_procs = cfg.connections.max_processes
+        self._bandwidth = cfg.connections.client_bandwidth
+        #: Target disk time per I/O burst of a request's plan.
+        self._io_chunk = cfg.disk.slice_time * 2.0
+        #: Cached bound callback (scheduled once per response transfer).
         self._release_cb = self._release_slot
         #: Observability tap (set by the cluster; ``None`` = disabled).
         self._tracer = None
@@ -103,8 +112,8 @@ class Node:
         if self.failed:
             raise RuntimeError(f"node {self.node_id} is down")
         self.admitted += 1
-        conn = self.cfg.connections
-        backlogged = conn.limited and self.busy_slots >= conn.max_processes
+        cap = self._max_procs
+        backlogged = cap > 0 and self.busy_slots >= cap
         tr = self._tracer
         if tr is not None:
             tr.record(ADMIT, request.req_id, self.node_id, (backlogged,))
@@ -115,16 +124,16 @@ class Node:
 
     def _start(self, request: Request,
                dispatch_latency: float) -> SimProcess:
-        plan = self._build_plan(request)
-        proc = SimProcess(request, self.node_id, plan,
-                          admit_time=self.engine.now,
-                          dispatch_latency=dispatch_latency)
+        dynamic = request.kind is RequestKind.DYNAMIC
+        plan = self._build_plan(request, dynamic)
+        proc = SimProcess(request, self.node_id, plan, self.engine.now,
+                          dispatch_latency)
         cold = self.memory.admit(proc)
         if cold:
             fault_io = cold * self.cfg.disk.page_time / self.disk_speed
             # Cold-start faults hit before the script's own work: insert
             # after the fork burst (index 0) for CGI, at the front otherwise.
-            insert_at = 1 if request.is_dynamic and plan[0][0] == CPU_BURST else 0
+            insert_at = 1 if dynamic and plan[0][0] == CPU_BURST else 0
             plan.insert(insert_at, (IO_BURST, fault_io))
             proc.burst_remaining = plan[0][1]
         tr = self._tracer
@@ -132,49 +141,45 @@ class Node:
             tr.record(START, request.req_id, self.node_id, (len(plan),))
         self.active += 1
         self.busy_slots += 1
-        self.procs.add(proc)
-        self._route(proc)
+        self.procs[proc] = None
+        if plan[0][0] == CPU_BURST:
+            self.cpu.make_runnable(proc)
+        else:
+            self.disk.submit(proc)
         return proc
 
-    def _build_plan(self, request: Request) -> List[Tuple[int, float]]:
-        io_chunk = self.cfg.disk.slice_time * 2.0
+    def _build_plan(self, request: Request,
+                    dynamic: bool) -> List[Tuple[int, float]]:
+        cfg = self.cfg
         io_demand = request.io_demand
-        if not request.is_dynamic and self.cfg.memory.enable_paging:
+        if not dynamic and cfg.memory.enable_paging:
             # Static requests are CPU-only unless the file cache misses, in
             # which case the file must be read from disk.  Misses get more
             # likely as CGI working sets squeeze the cache.
             if self.rng.random() < self.memory.static_miss_probability():
                 pages = max(1, -(-request.size_bytes //
-                                 self.cfg.memory.page_size))
-                io_demand += pages * self.cfg.disk.page_time
+                                 cfg.memory.page_size))
+                io_demand += pages * cfg.disk.page_time
                 self.static_misses += 1
         # Heterogeneity: demands are stated for the reference node; a
         # faster CPU/disk executes the same demand in proportionally less
         # virtual time.
         cpu_demand = request.cpu_demand / self.cpu_speed
         io_demand /= self.disk_speed
-        plan = build_plan(cpu_demand, io_demand, io_chunk, self.rng)
-        if request.is_dynamic and self.cfg.cpu.fork_overhead > 0:
+        plan = build_plan(cpu_demand, io_demand, self._io_chunk, self.rng)
+        if dynamic and cfg.cpu.fork_overhead > 0:
             plan.insert(0, (CPU_BURST,
-                            self.cfg.cpu.fork_overhead / self.cpu_speed))
+                            cfg.cpu.fork_overhead / self.cpu_speed))
         return plan
 
     # -- burst plumbing ---------------------------------------------------------
 
-    def _route(self, proc: SimProcess) -> None:
-        kind = proc.current_kind
-        if kind is None:
-            self._complete(proc)
-        elif kind == CPU_BURST:
-            self.cpu.make_runnable(proc)
-        else:
-            self.disk.submit(proc)
-
     def _advance(self, proc: SimProcess) -> None:
-        refault_pages = self.memory.collect_refaults(proc)
-        if refault_pages:
-            proc.splice_io(refault_pages * self.cfg.disk.page_time
-                           / self.disk_speed)
+        """A burst finished (CPU or disk): hand the process to the device
+        of its next burst, or complete it."""
+        if proc.pending_fault_pages:
+            proc.splice_io(self.memory.collect_refaults(proc)
+                           * self.cfg.disk.page_time / self.disk_speed)
         kind = proc.advance()
         if kind is None:
             self._complete(proc)
@@ -183,37 +188,47 @@ class Node:
         else:
             self.disk.submit(proc)
 
-    def _on_cpu_burst_done(self, proc: SimProcess) -> None:
-        self._advance(proc)
-
-    def _on_io_burst_done(self, proc: SimProcess) -> None:
-        self._advance(proc)
-
     def _complete(self, proc: SimProcess) -> None:
         proc.state = ProcState.DONE
         proc.finish_time = self.engine.now
         self.memory.release(proc)
         self.active -= 1
         self.completed += 1
-        self.procs.discard(proc)
+        del self.procs[proc]
         self.on_complete(self, proc)
         # The worker stays pinned until the response drains to the client;
         # server-site response time (above) excludes this, capacity doesn't.
-        transfer = self.cfg.connections.transfer_time(
-            proc.request.size_bytes)
-        if transfer > 0.0:
-            self.transfers += 1
-            self.engine.call_later(transfer, self._release_cb)
-        else:
-            self._release_slot()
-
-    def _release_slot(self) -> None:
+        if self._bandwidth:
+            transfer = self.cfg.connections.transfer_time(
+                proc.request.size_bytes)
+            if transfer > 0.0:
+                self.transfers += 1
+                self.engine.call_later(transfer, self._release_cb,
+                                       self.failures)
+                return
         self.busy_slots -= 1
+        if self.backlog:
+            self._start_backlog()
+
+    def _release_slot(self, epoch: int) -> None:
+        """Free a worker slot taken while ``failures == epoch``.
+
+        A crash reclaims every slot at once, so a response transfer that
+        was still draining when the node failed must not free a second
+        one after it.
+        """
+        if epoch != self.failures:
+            return
+        self.busy_slots -= 1
+        if self.backlog:
+            self._start_backlog()
+
+    def _start_backlog(self) -> None:
+        """Start backlogged requests while worker slots are free."""
         if self.failed:
             return
-        conn = self.cfg.connections
-        while self.backlog and (not conn.limited
-                                or self.busy_slots < conn.max_processes):
+        cap = self._max_procs
+        while self.backlog and (cap <= 0 or self.busy_slots < cap):
             request, latency = self.backlog.popleft()
             self._start(request, latency)
 
@@ -236,9 +251,11 @@ class Node:
         self.disk.abort(proc)
         self.memory.release(proc)
         proc.slice_event = None
-        self.procs.discard(proc)
+        del self.procs[proc]
         self.active -= 1
-        self._release_slot()
+        self.busy_slots -= 1
+        if self.backlog:
+            self._start_backlog()
         return True
 
     # -- failure / recovery -------------------------------------------------------

@@ -61,7 +61,8 @@ def build_plan(
     if io_chunk <= 0:
         raise ValueError("io_chunk must be positive")
     if io_total <= 0:
-        return [(CPU_BURST, max(cpu_total, MIN_CPU_SLIVER))]
+        return [(CPU_BURST, MIN_CPU_SLIVER if MIN_CPU_SLIVER > cpu_total
+                 else cpu_total)]
 
     n_io = max(1, math.ceil(io_total / io_chunk))
     io_sizes = [io_total / n_io] * n_io

@@ -123,6 +123,46 @@ class TestProcessPool:
         cluster.run(until=30.0)
         assert len(cluster.metrics) == 8
 
+    @staticmethod
+    def _crash_while_draining():
+        """A 2-slot node that crashes and recovers while a 36 kB response
+        drains to a 3600 B/s modem (transfer ends at t ~ 10 s)."""
+        cluster = one_node_cluster(max_processes=2,
+                                   client_bandwidth=3600.0)
+        node = cluster.nodes[0]
+        cluster.submit(make_static(req_id=0, arrival=0.0, cpu=0.001,
+                                   size=36000))
+        cluster.run(until=1.0)
+        assert (node.busy_slots, node.transfers) == (1, 1)
+        cluster.fail_node(0)
+        cluster.recover_node(0)
+        return cluster, node
+
+    def test_crash_during_transfer_leaves_no_negative_slots(self):
+        cluster, node = self._crash_while_draining()
+        cluster.run(until=15.0)
+        assert node.busy_slots == 0
+
+    def test_crash_during_transfer_keeps_the_process_cap(self):
+        """The transfer from before the crash must not free a worker slot
+        after recovery: the crash already reclaimed it."""
+        cluster, node = self._crash_while_draining()
+        # Four long requests after recovery: two run, two wait.
+        for i in range(1, 5):
+            cluster.submit(make_static(req_id=i, arrival=2.0, cpu=20.0,
+                                       size=0))
+        samples = []
+
+        def probe():
+            samples.append((node.busy_slots, node.active))
+            cluster.engine.call_later(0.5, probe)
+
+        cluster.engine.call_at(1.5, probe)
+        cluster.run(until=15.0)
+        assert min(slots for slots, _ in samples) >= 0
+        assert max(active for _, active in samples) <= 2
+        assert (node.busy_slots, node.active, len(node.backlog)) == (2, 2, 2)
+
     def test_slot_freed_on_node_recovery_path(self):
         cluster = one_node_cluster(max_processes=1)
         cluster.submit(make_static(req_id=0, arrival=0.0, cpu=0.001))

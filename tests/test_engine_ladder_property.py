@@ -1,12 +1,19 @@
-"""Property-based check of the engine's two-tier ladder queue.
+"""Property-based check of the engine's two-tier queue (the file and
+test names keep the queue's earlier "ladder" name).
 
-The engine replaced a textbook binary heap with a sorted-run + insertion
--buffer ladder, a handle-free tuple fast path, and Event pooling.  These
-tests pit it against an obviously-correct ``heapq`` reference model: both
-sides replay the same randomly generated program of ``call_at`` /
+The engine keeps :meth:`~repro.sim.engine.Engine.call_at_many` arrivals
+in a descending sorted bulk run and everything else in a binary heap,
+pops whichever head has the smaller ``(time, seq)``, takes handle-free
+tuples on the fast path and pools :class:`Event` handles.  These tests
+pit it against an obviously-correct single-``heapq`` reference model:
+both sides replay the same randomly generated program of ``call_at`` /
 ``call_at_many`` / ``schedule_at`` calls — including callbacks that
-schedule more work and cancel pending handles mid-run — and must fire
-callbacks in exactly the same order, FIFO within equal timestamps.
+schedule more work one at a time or in bulk, and cancel pending handles
+mid-run — and must fire callbacks in exactly the same order, FIFO within
+equal timestamps.  The run is cut into ``run(until=...)`` segments; at
+every stop ``peek()``, ``pending`` and ``iter_pending()`` must agree with
+the model, also after handles on either side of the bulk head have been
+cancelled.
 
 Times are drawn from a coarse 0.25s grid so timestamp ties (the
 tie-break path) occur constantly.
@@ -30,11 +37,17 @@ _OPS = st.lists(
         st.tuples(st.just("call_at_many"),
                   st.lists(_TIMES, min_size=0, max_size=4)),
         st.tuples(st.just("schedule_at"), _TIMES),
+        # A callback that schedules children, one at a time or in bulk.
         st.tuples(st.just("chain"), _TIMES,
-                  st.lists(_DELAYS, min_size=1, max_size=3)),
+                  st.lists(_DELAYS, min_size=1, max_size=3), st.booleans()),
     ),
     max_size=30,
 )
+
+_STOPS = st.lists(
+    st.integers(min_value=0, max_value=24).map(lambda k: k * 0.25),
+    max_size=4,
+).map(sorted)
 
 
 class _HeapModel:
@@ -49,10 +62,10 @@ class _HeapModel:
     def push(self, t, entry_id, payload):
         heapq.heappush(self.heap, (t, next(self.seq), entry_id, payload))
 
-    def run(self):
-        """Pop everything; returns the fired tags in order."""
+    def run(self, until=float("inf")):
+        """Pop everything due by ``until``; returns the fired tags."""
         fired = []
-        while self.heap:
+        while self.heap and self.heap[0][0] <= until:
             t, _seq, entry_id, payload = heapq.heappop(self.heap)
             if entry_id in self.cancelled:
                 continue
@@ -64,13 +77,25 @@ class _HeapModel:
                 self.push(t + dt, child_tag, (child_tag, (), None))
         return fired
 
+    def live(self):
+        return sorted(t for t, _s, entry_id, _p in self.heap
+                      if entry_id not in self.cancelled)
+
+
+def _check_introspection(eng, model):
+    live = model.live()
+    assert eng.pending == len(live)
+    assert sorted(t for t, _fn in eng.iter_pending()) == live
+    assert eng.peek() == (live[0] if live else None)
+
 
 @settings(deadline=None, max_examples=150)
-@given(ops=_OPS, data=st.data())
-def test_ladder_queue_matches_heap_model(ops, data):
+@given(ops=_OPS, stops=_STOPS, data=st.data())
+def test_ladder_queue_matches_heap_model(ops, stops, data):
     eng = Engine()
     model = _HeapModel()
     fired = []
+    expected = []
     tags = itertools.count()
 
     # Handles eligible for cancellation: (engine_handle, time, setup_seq,
@@ -79,17 +104,22 @@ def test_ladder_queue_matches_heap_model(ops, data):
     # statically, which keeps every cancel() within the pooling contract
     # (never cancel a handle whose callback already ran).
     handles = []
+    cancelled = set()
     setup_seq = itertools.count()
 
     def fire(tag):
         fired.append(tag)
 
-    def fire_chain(tag, dts_tags, victim):
+    def fire_chain(tag, dts_tags, victim, bulk):
         fired.append(tag)
         if victim is not None:
             victim.cancel()
-        for dt, child_tag in dts_tags:
-            eng.call_at(eng.now + dt, fire, child_tag)
+        if bulk:
+            eng.call_at_many((eng.now + dt, fire, (child_tag,))
+                             for dt, child_tag in dts_tags)
+        else:
+            for dt, child_tag in dts_tags:
+                eng.call_at(eng.now + dt, fire, child_tag)
 
     for op in ops:
         if op[0] == "call_at":
@@ -114,7 +144,7 @@ def test_ladder_queue_matches_heap_model(ops, data):
             model.push(t, tag, (tag, (), None))
             handles.append((handle, t, next(setup_seq), tag))
         else:  # chain
-            _, t, dts = op
+            _, t, dts, bulk = op
             tag = next(tags)
             my_seq = next(setup_seq)
             dts_tags = tuple((dt, next(tags)) for dt in dts)
@@ -126,7 +156,7 @@ def test_ladder_queue_matches_heap_model(ops, data):
                       and data.draw(st.booleans(), label="do_cancel")
                       else None)
             eng.call_at(t, fire_chain, tag, dts_tags,
-                        None if victim is None else victim[0])
+                        None if victim is None else victim[0], bulk)
             model.push(t, tag, (tag, dts_tags,
                                 None if victim is None else victim[3]))
 
@@ -138,9 +168,31 @@ def test_ladder_queue_matches_heap_model(ops, data):
             handle.cancel()
             handle.cancel()  # cancellation is idempotent
             model.cancelled.add(entry_id)
+            cancelled.add(entry_id)
+
+    _check_introspection(eng, model)
+    for stop in stops:
+        eng.run(until=stop)
+        expected += model.run(until=stop)
+        assert fired == expected
+        assert eng.now == stop
+        _check_introspection(eng, model)
+        # Cancel a handle that has not fired yet while the run is stopped.
+        waiting = [h for h in handles
+                   if h[1] > stop and h[3] not in cancelled
+                   and h[3] not in model.cancelled]
+        if waiting and data.draw(st.booleans(), label="stop_cancel"):
+            handle, _t, _s, entry_id = data.draw(st.sampled_from(waiting),
+                                                 label="stop_victim")
+            handle.cancel()
+            model.cancelled.add(entry_id)
+            cancelled.add(entry_id)
+            _check_introspection(eng, model)
 
     eng.run()
-    assert fired == model.run()
+    expected += model.run()
+    assert fired == expected
+    _check_introspection(eng, model)
 
 
 @settings(deadline=None, max_examples=60)
@@ -160,3 +212,22 @@ def test_equal_times_fire_in_submission_order(ts):
             eng.call_at_many([(t, fired.append, (i,))])
     eng.run()
     assert fired == expected
+
+
+def test_bulk_submission_from_a_running_callback():
+    """A batch submitted mid-run merges into the bulk run still holding
+    earlier arrivals, and ties with them stay FIFO."""
+    eng = Engine()
+    fired = []
+    eng.call_at_many([(1.0, fired.append, ("a",)),
+                      (3.0, fired.append, ("c",))])
+
+    def burst():
+        fired.append("burst")
+        eng.call_at_many([(3.0, fired.append, ("c2",)),
+                          (2.0, fired.append, ("b",)),
+                          (eng.now, fired.append, ("now",))])
+
+    eng.call_at(1.0, burst)
+    eng.run()
+    assert fired == ["a", "burst", "now", "b", "c", "c2"]
