@@ -22,11 +22,9 @@ from repro.analysis.sweep import (
     BakeoffResult,
     BakeoffSpec,
     choose_masters,
-    make_bakeoff_policy,
-    run_bakeoff,
     run_bakeoff_grid,
 )
-from repro.core.policies import make_ms
+from repro.core.policies import make_ms, make_policy
 from repro.obs import Tracer, audit_cluster
 from repro.core.queuing import Workload, best_msprime, flat_stretch
 from repro.core.stretch import improvement_percent
@@ -528,11 +526,9 @@ def run_table3(
             sampler = pretrain_sampler(trace, seed=seed)
 
             def run_both(policy_name: str) -> Tuple[float, float]:
-                policy_tb = make_bakeoff_policy(policy_name, p, m, sampler,
-                                                seed + 5)
+                policy_tb = make_policy(policy_name, p, m, sampler, seed + 5)
                 actual = replay_on_testbed(policy_tb, trace, tb).overall.stretch
-                policy_sim = make_bakeoff_policy(policy_name, p, m, sampler,
-                                                 seed + 5)
+                policy_sim = make_policy(policy_name, p, m, sampler, seed + 5)
                 cfg = tb.sim_config()
                 simulated = replay(cfg, policy_sim, trace).report.overall.stretch
                 return actual, simulated

@@ -13,14 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.policies import (
-    FlatPolicy,
-    Policy,
-    make_ms,
-    make_ms_1,
-    make_ms_ns,
-    make_ms_nr,
-)
+from repro.core.policies import make_policy
 from repro.core.queuing import Workload
 from repro.core.theorem import optimal_masters
 from repro.perf.pool import run_tasks
@@ -119,23 +112,9 @@ class BakeoffResult:
         return (self.stretch(over) / self.stretch(of) - 1.0) * 100.0
 
 
-#: The four schedulers of Figure 4 plus the flat baseline.
+#: The four schedulers of Figure 4 plus the flat baseline, by their
+#: :func:`~repro.core.policies.make_policy` names.
 BAKEOFF_POLICIES = ("MS", "MS-ns", "MS-nr", "MS-1", "Flat")
-
-
-def make_bakeoff_policy(name: str, p: int, m: int, sampler, seed: int) -> Policy:
-    """Instantiate one of the Figure-4 schedulers by its paper name."""
-    if name == "MS":
-        return make_ms(p, m, sampler, seed=seed)
-    if name == "MS-ns":
-        return make_ms_ns(p, m, seed=seed)
-    if name == "MS-nr":
-        return make_ms_nr(p, m, sampler, seed=seed)
-    if name == "MS-1":
-        return make_ms_1(p, sampler, seed=seed)
-    if name == "Flat":
-        return FlatPolicy(p, seed=seed)
-    raise ValueError(f"unknown bake-off policy {name!r}")
 
 
 def run_bakeoff(
@@ -182,7 +161,7 @@ def run_bakeoff(
         base_cfg = _spec_config(point)
         reports = {}
         for name in point.policies:
-            policy = make_bakeoff_policy(name, p, masters, sampler, seed + 17)
+            policy = make_policy(name, p, masters, sampler, seed + 17)
             result = replay(base_cfg.copy(), policy, trace,
                             warmup_fraction=warmup_fraction)
             reports[name] = result.report
@@ -236,8 +215,7 @@ def _policy_task(payload: Tuple[BakeoffSpec, str]) -> MetricsReport:
     trace = generate_trace(spec, rate=point.lam, duration=point.duration,
                            mu_h=point.mu_h, r=point.r, seed=point.seed)
     sampler = pretrain_sampler(trace, seed=point.seed)
-    policy = make_bakeoff_policy(name, point.p, point.m, sampler,
-                                 point.seed + 17)
+    policy = make_policy(name, point.p, point.m, sampler, point.seed + 17)
     return replay(_spec_config(point).copy(), policy, trace,
                   warmup_fraction=point.warmup_fraction).report
 

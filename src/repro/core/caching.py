@@ -25,6 +25,9 @@ from typing import Optional
 from repro.core.policies import MSPolicy, Route
 from repro.workload.request import Request, RequestKind
 
+#: Type key of the cheap send that stands in for a cache hit's execution.
+HIT_TYPE_KEY = "cgi:cache-hit"
+
 
 @dataclass(slots=True)
 class CacheStats:
@@ -146,7 +149,7 @@ class CachingMSPolicy(MSPolicy):
                     io_demand=0.0,
                     mem_pages=1,
                     size_bytes=size,
-                    type_key="cgi:cache-hit",
+                    type_key=HIT_TYPE_KEY,
                     cache_key=request.cache_key,
                 )
                 return Route(accept, remote=False, substitute=substitute)
@@ -154,10 +157,18 @@ class CachingMSPolicy(MSPolicy):
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
+        if request.type_key == HIT_TYPE_KEY:
+            # A hit was counted as a static arrival, so its response feeds
+            # the static estimate; the dynamic EWMA and the sampler only
+            # learn from executed CGIs.
+            self._release(request, node_id)
+            if self.reservation is not None:
+                self.reservation.observe_response(RequestKind.STATIC,
+                                                  response_time)
+            return
         super().on_complete(request, response_time, on_master, node_id)
         if (request.kind is RequestKind.DYNAMIC
-                and request.cache_key is not None
-                and request.type_key != "cgi:cache-hit"):
+                and request.cache_key is not None):
             # A miss finished executing: publish its result, timestamped at
             # its completion instant (arrival + response time).
             self.cache.insert(request.cache_key, request.size_bytes,

@@ -22,13 +22,18 @@ from repro.core.sampling import DemandSampler
 from repro.workload.request import Request, RequestKind
 
 
+#: Idle-ratio discount per unit of work a dispatcher has in flight on a
+#: resource: ``n`` outstanding units scale the reported ratio by ``0.5**n``.
+HERDING_DISCOUNT = 0.5
+
+
 class LoadView(Protocol):
     """What a policy is allowed to observe about the cluster.
 
-    Views may additionally expose a suspicion layer — ``all_healthy()``,
-    ``healthy_array()``, ``is_suspect(node_id)`` (see
-    :class:`repro.sim.cluster.ClusterView`).  Policies probe for it with
-    ``getattr`` so minimal views (tests, external drivers) keep working.
+    The suspicion layer is part of it: ``healthy_array()`` flags nodes
+    that are in service and not suspect, ``all_healthy()`` is its O(1)
+    summary (see :class:`repro.sim.cluster.ClusterView`).  A view with no
+    source of suspicion returns its alive membership from both.
     """
 
     @property
@@ -36,10 +41,6 @@ class LoadView(Protocol):
 
     @property
     def now(self) -> float: ...
-
-    def cpu_idle(self, node_id: int) -> float: ...
-
-    def disk_avail(self, node_id: int) -> float: ...
 
     def cpu_idle_array(self) -> np.ndarray: ...
 
@@ -49,9 +50,11 @@ class LoadView(Protocol):
 
     def is_alive(self, node_id: int) -> bool: ...
 
-    def all_alive(self) -> bool: ...
-
     def alive_array(self) -> np.ndarray: ...
+
+    def healthy_array(self) -> np.ndarray: ...
+
+    def all_healthy(self) -> bool: ...
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,38 +161,27 @@ class Policy(abc.ABC):
             None if res is None else res.master_fraction,
         )
 
-    def _random_master(self) -> int:
-        return int(self._masters[self.rng.integers(len(self._masters))])
-
     def _alive(self, view: LoadView, ids: np.ndarray) -> np.ndarray:
         """Restrict a candidate id array to in-service, trusted nodes.
 
-        When the view exposes the suspicion layer, nodes flagged *suspect*
-        (failed probe, stale sample, post-recovery probation) are excluded
-        before formal crash detection removes them from membership.  If
-        suspicion would empty the pool the plain alive set is used — a
-        node with stale load data still beats refusing service.
+        Nodes flagged *suspect* (failed probe, stale sample, post-recovery
+        probation) are excluded before formal crash detection removes them
+        from membership.  If suspicion would empty the pool the plain
+        alive set is used — a node with stale load data still beats
+        refusing service.
         """
-        all_healthy = getattr(view, "all_healthy", None)
-        if all_healthy is not None:
-            if all_healthy():
-                return ids
-            alive = view.alive_array()
-            pool = ids[alive[ids]]
-            if len(pool) == 0:
-                return pool
-            trusted = ids[view.healthy_array()[ids]]
-            return trusted if len(trusted) else pool
-        if view.all_alive():
+        if view.all_healthy():
             return ids
-        alive = view.alive_array()
-        return ids[alive[ids]]
+        pool = ids[view.alive_array()[ids]]
+        if len(pool) == 0:
+            return pool
+        trusted = ids[view.healthy_array()[ids]]
+        return trusted if len(trusted) else pool
 
     def _random_alive_master(self, view: LoadView) -> int:
         """An in-service accepting master; any alive node acts as master
         when the whole master tier is down (emergency promotion)."""
-        all_healthy = getattr(view, "all_healthy", None)
-        if all_healthy is not None and all_healthy():
+        if view.all_healthy():
             # Same draw as the general path: the pool is every master.
             masters = self._master_list
             return masters[self.rng.integers(len(masters))]
@@ -289,9 +281,7 @@ class RoundRobinPolicy(Policy):
             self._next = (self._next + 1) % self.num_nodes
             if not self.failure_aware or view.is_alive(node):
                 return self._local[node]
-        if self.failure_aware:
-            raise RuntimeError("no nodes in service")
-        return self._local[self._next]
+        raise RuntimeError("no nodes in service")
 
 
 class LeastActivePolicy(Policy):
@@ -340,8 +330,7 @@ class MSPolicy(Policy):
                  use_reservation: bool = True,
                  reservation_cfg: Optional[ReservationConfig] = None,
                  default_w: float = DEFAULT_W,
-                 seed: int = 0,
-                 herding_discount: float = 0.5):
+                 seed: int = 0):
         if not 1 <= num_masters <= num_nodes:
             raise ValueError(
                 f"need 1 <= num_masters <= num_nodes; got {num_masters}"
@@ -359,15 +348,11 @@ class MSPolicy(Policy):
         # request's sampled CPU weight.  A master performing remote CGI
         # execution knows what it has sent and not yet seen complete;
         # discounting the reported idle ratios by that outstanding work
-        # avoids herding every request onto the node that looked idlest at
-        # the last rstat() poll.
+        # (HERDING_DISCOUNT) avoids herding every request onto the node
+        # that looked idlest at the last rstat() poll.
         self._outstanding_cpu = np.zeros(num_nodes)
         self._outstanding_disk = np.zeros(num_nodes)
         self._dispatched_w: dict[int, float] = {}
-        if not 0.0 < herding_discount <= 1.0:
-            raise ValueError("herding_discount must be in (0, 1]")
-        #: Idle-ratio discount per unit of outstanding work on a resource.
-        self.herding_discount = herding_discount
 
     # -- routing -------------------------------------------------------------
 
@@ -388,8 +373,7 @@ class MSPolicy(Policy):
     def _candidates(self, view: LoadView):
         """Dynamic-dispatch candidate ids and the reservation-gate verdict
         they were chosen under (``None`` where the cap does not apply)."""
-        all_healthy = getattr(view, "all_healthy", None)
-        if all_healthy is not None and all_healthy():
+        if view.all_healthy():
             slaves, masters, both = self._slaves, self._masters, self._both
         else:
             slaves = self._alive(view, self._slaves)
@@ -419,7 +403,7 @@ class MSPolicy(Policy):
         """Per-node (CPU, disk) availability the RSRC choice ranks by:
         the reported idle ratios, discounted by work this dispatcher has
         in flight there."""
-        g = self.herding_discount
+        g = HERDING_DISCOUNT
         return (view.cpu_idle_array() * g ** self._outstanding_cpu,
                 view.disk_avail_array() * g ** self._outstanding_disk)
 
@@ -439,14 +423,19 @@ class MSPolicy(Policy):
             self.reservation.record_decision(node in self.master_ids)
         return self._remote[node] if node != accept else self._local[node]
 
-    def on_complete(self, request: Request, response_time: float,
-                    on_master: bool, node_id: int) -> None:
+    def _release(self, request: Request, node_id: int) -> None:
+        """Take a finished or aborted request's work off ``node_id``'s
+        outstanding totals."""
         w = self._dispatched_w.pop(request.req_id, None)
         if w is not None:
             self._outstanding_cpu[node_id] = max(
                 0.0, self._outstanding_cpu[node_id] - w)
             self._outstanding_disk[node_id] = max(
                 0.0, self._outstanding_disk[node_id] - (1.0 - w))
+
+    def on_complete(self, request: Request, response_time: float,
+                    on_master: bool, node_id: int) -> None:
+        self._release(request, node_id)
         if self.reservation is not None:
             self.reservation.observe_response(request.kind, response_time)
         # Online refinement of the sampler from real executions keeps the
@@ -457,12 +446,7 @@ class MSPolicy(Policy):
                                  request.io_demand)
 
     def on_abort(self, request: Request, node_id: int) -> None:
-        w = self._dispatched_w.pop(request.req_id, None)
-        if w is not None:
-            self._outstanding_cpu[node_id] = max(
-                0.0, self._outstanding_cpu[node_id] - w)
-            self._outstanding_disk[node_id] = max(
-                0.0, self._outstanding_disk[node_id] - (1.0 - w))
+        self._release(request, node_id)
 
     @property
     def theta_cap(self) -> Optional[float]:
@@ -515,66 +499,40 @@ class FrontEndMSPolicy(MSPolicy):
                 f"accept_node {self.accept_node} must remain a master")
         super().set_masters(ids)
 
-    def route(self, request: Request, view: LoadView) -> Route:
-        if self.reservation is not None:
-            self.reservation.observe_arrival(request.kind, view.now)
-        if request.kind is not RequestKind.DYNAMIC:
-            return self._local[self.accept_node]
-        return self._route_dynamic(request, view, self.accept_node)
+    def _random_alive_master(self, view: LoadView) -> int:
+        # The request hit this front end's listener: nothing to draw.
+        return self.accept_node
 
 
-class MSPrimePolicy(Policy):
+class MSPrimePolicy(MSPolicy):
     """The M/S' alternative of Section 3: dynamic requests are pinned to a
     fixed subset of ``k`` nodes (min-RSRC within the subset), while static
-    requests are spread uniformly over **all** nodes."""
+    requests are spread uniformly over **all** nodes.
+
+    This is M/S-1 — every node accepts, so the reservation gate is off —
+    with the dynamic candidates narrowed to nodes ``0..k-1``.
+    """
 
     def __init__(self, num_nodes: int, num_dynamic_nodes: int,
                  sampler: Optional[DemandSampler] = None,
                  default_w: float = DEFAULT_W, seed: int = 0):
         if not 1 <= num_dynamic_nodes <= num_nodes:
             raise ValueError("need 1 <= num_dynamic_nodes <= num_nodes")
-        # Every node accepts (static goes everywhere); record the dynamic
-        # subset separately.
-        super().__init__(num_nodes, range(num_nodes), seed)
+        super().__init__(num_nodes, num_nodes, sampler=sampler,
+                         default_w=default_w, seed=seed)
         self.dynamic_nodes = np.arange(num_dynamic_nodes, dtype=np.intp)
-        self.sampler = sampler
-        self.default_w = default_w
-        self._outstanding_cpu = np.zeros(num_nodes)
-        self._outstanding_disk = np.zeros(num_nodes)
-        self._dispatched_w: dict[int, float] = {}
-        self.herding_discount = 0.5
 
-    def route(self, request: Request, view: LoadView) -> Route:
-        pool = self._alive(view, self._all_nodes)
-        if len(pool) == 0:
-            raise RuntimeError("no nodes in service")
-        accept = int(pool[self.rng.integers(len(pool))])
-        if request.kind is RequestKind.STATIC:
-            return self._local[accept]
-        w = (self.sampler.w(request.type_key) if self.sampler is not None
-             else self.default_w)
-        g = self.herding_discount
-        eff_cpu = view.cpu_idle_array() * g ** self._outstanding_cpu
-        eff_disk = view.disk_avail_array() * g ** self._outstanding_disk
+    def _candidates(self, view: LoadView):
+        # The alive dynamic subset; any alive node when it is all down.
         dyn = self._alive(view, self.dynamic_nodes)
         if len(dyn) == 0:
-            dyn = pool
-        node = select_min_rsrc(w, eff_cpu, eff_disk, dyn, self.rng)
-        if self.trace_decisions:
-            self._stash_decision(w, eff_cpu, eff_disk, node, None)
-        self._outstanding_cpu[node] += w
-        self._outstanding_disk[node] += 1.0 - w
-        self._dispatched_w[request.req_id] = w
-        return self._remote[node] if node != accept else self._local[node]
+            dyn = self._alive(view, self._all_nodes)
+        return dyn, None
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
-        w = self._dispatched_w.pop(request.req_id, None)
-        if w is not None:
-            self._outstanding_cpu[node_id] = max(
-                0.0, self._outstanding_cpu[node_id] - w)
-            self._outstanding_disk[node_id] = max(
-                0.0, self._outstanding_disk[node_id] - (1.0 - w))
+        # M/S' keeps its offline ``w``: no online sampler refinement.
+        self._release(request, node_id)
 
 
 class HeteroMSPolicy(MSPolicy):
@@ -611,13 +569,6 @@ class HeteroMSPolicy(MSPolicy):
             raise ValueError("disk speeds must be positive")
         self.cpu_speeds = cpu
         self.disk_speeds = disk
-        master_caps = cpu[self._masters]
-        self._master_weights = master_caps / master_caps.sum()
-
-    def set_masters(self, master_ids: Iterable[int]) -> None:
-        super().set_masters(master_ids)
-        master_caps = self.cpu_speeds[self._masters]
-        self._master_weights = master_caps / master_caps.sum()
 
     def _random_alive_master(self, view: LoadView) -> int:
         masters = self._alive(view, self._masters)
@@ -630,7 +581,7 @@ class HeteroMSPolicy(MSPolicy):
     def _effective_idle(self, view: LoadView):
         # Effective *capacity* per resource: speed times available ratio,
         # discounted by work this dispatcher has in flight there.
-        g = self.herding_discount
+        g = HERDING_DISCOUNT
         return (self.cpu_speeds * view.cpu_idle_array()
                 * g ** self._outstanding_cpu,
                 self.disk_speeds * view.disk_avail_array()

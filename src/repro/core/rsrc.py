@@ -25,6 +25,9 @@ IDLE_FLOOR = 1e-3
 #: equally important").
 DEFAULT_W = 0.5
 
+#: Candidates whose cost is within this of the minimum count as tied.
+TIE_TOLERANCE = 1e-9
+
 
 def rsrc_cost(w: float, cpu_idle, disk_avail, floor: float = IDLE_FLOOR):
     """Evaluate Equation 5.  Accepts scalars or aligned numpy arrays.
@@ -48,16 +51,14 @@ def select_min_rsrc(
     disk_avail: np.ndarray,
     candidates: Sequence[int],
     rng: Optional[np.random.Generator] = None,
-    tie_tolerance: float = 1e-9,
-    load_penalty: Optional[np.ndarray] = None,
 ) -> int:
     """Pick the candidate node with the minimum RSRC.
 
     Near-ties are broken uniformly at random (when ``rng`` is given) so that
     a fleet of equally idle nodes does not herd onto the lowest index
-    between two load-monitor updates.  ``load_penalty`` (a per-node
-    multiplier >= 1, typically ``1 + outstanding dispatches``) lets the
-    dispatcher fold in work it has sent since the last monitor update.
+    between two load-monitor updates.  Work dispatched since the last
+    update is folded in by the caller, which discounts the idle ratios it
+    passes (see :data:`repro.core.policies.HERDING_DISCOUNT`).
     """
     cand = np.asarray(candidates, dtype=np.intp)
     if cand.ndim != 1:
@@ -67,16 +68,11 @@ def select_min_rsrc(
     # Cost every node, then pick the candidates out: one gather instead
     # of two, and the same per-element arithmetic.
     costs = rsrc_cost(w, cpu_idle, disk_avail)[cand]
-    if load_penalty is not None:
-        pen = np.asarray(load_penalty, dtype=float)[cand]
-        if (pen < 1.0 - 1e-12).any():
-            raise ValueError("load_penalty multipliers must be >= 1")
-        costs = costs * pen
     # Array methods rather than their np.* wrappers: this runs once per
     # dynamic request.
     first = int(costs.argmin())
     if rng is None:
         return int(cand[first])
-    ties = (costs <= costs[first] + tie_tolerance).nonzero()[0]
+    ties = (costs <= costs[first] + TIE_TOLERANCE).nonzero()[0]
     pick = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
     return int(cand[pick])

@@ -149,8 +149,8 @@ class LoadTable:
 
 class LiveLoadView:
     """Adapter exposing a :class:`LoadTable` through the
-    :class:`repro.core.policies.LoadView` protocol (including the optional
-    suspicion layer), so the *simulator's* dispatch policies run unchanged
+    :class:`repro.core.policies.LoadView` protocol (suspicion layer
+    included), so the *simulator's* dispatch policies run unchanged
     against live telemetry."""
 
     __slots__ = ("table", "clock")
@@ -167,12 +167,6 @@ class LiveLoadView:
     def now(self) -> float:
         return self.clock.now
 
-    def cpu_idle(self, node_id: int) -> float:
-        return float(self.table.cpu_idle[node_id])
-
-    def disk_avail(self, node_id: int) -> float:
-        return float(self.table.disk_avail[node_id])
-
     def cpu_idle_array(self) -> np.ndarray:
         return self.table.cpu_idle
 
@@ -185,13 +179,10 @@ class LiveLoadView:
     def is_alive(self, node_id: int) -> bool:
         return not bool(self.table.dead[node_id])
 
-    def all_alive(self) -> bool:
-        return not self.table.dead.any()
-
     def alive_array(self) -> np.ndarray:
         return ~self.table.dead
 
-    # -- suspicion layer (probed via getattr by Policy._alive) ------------
+    # -- suspicion layer ---------------------------------------------------
 
     def is_suspect(self, node_id: int) -> bool:
         return bool(self.table.suspect_array(self.clock.now)[node_id])

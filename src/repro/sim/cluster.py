@@ -74,12 +74,6 @@ class ClusterView:
     def now(self) -> float:
         return self._cluster.engine.now
 
-    def cpu_idle(self, node_id: int) -> float:
-        return float(self._cluster.monitor.cpu_idle[node_id])
-
-    def disk_avail(self, node_id: int) -> float:
-        return float(self._cluster.monitor.disk_avail[node_id])
-
     def cpu_idle_array(self) -> np.ndarray:
         """Read-only snapshot array (do not mutate)."""
         return self._cluster.monitor.cpu_idle
@@ -95,10 +89,6 @@ class ClusterView:
 
     def is_alive(self, node_id: int) -> bool:
         return bool(self._cluster.alive[node_id])
-
-    def all_alive(self) -> bool:
-        """O(1) fast path: no node is out of service."""
-        return self._cluster.alive_count == self._cluster.cfg.num_nodes
 
     def alive_array(self) -> np.ndarray:
         """Read-only membership snapshot (do not mutate)."""

@@ -13,12 +13,13 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.reporting import format_series, format_table, percent
 from repro.analysis.sweep import (
+    BAKEOFF_POLICIES,
     choose_masters,
     feasible_rate,
-    make_bakeoff_policy,
     resource_utilization,
     run_bakeoff,
 )
+from repro.core.policies import FlatPolicy, MSPolicy, make_policy
 from repro.core.queuing import Workload
 from repro.workload.traces import ADL, KSU, UCB
 
@@ -85,11 +86,15 @@ class TestSweepHelpers:
         assert 1 <= m <= 15
 
     def test_make_bakeoff_policy_names(self):
-        for name in ("MS", "MS-ns", "MS-nr", "MS-1", "Flat"):
-            policy = make_bakeoff_policy(name, 8, 2, None, 0)
+        masters = {"MS": 2, "MS-ns": 2, "MS-nr": 2, "MS-1": 8}
+        for name in BAKEOFF_POLICIES:
+            policy = make_policy(name, 8, 2, None, 0)
             assert policy.num_nodes == 8
-        with pytest.raises(ValueError):
-            make_bakeoff_policy("bogus", 8, 2, None, 0)
+            if name == "Flat":
+                assert isinstance(policy, FlatPolicy)
+            else:
+                assert isinstance(policy, MSPolicy)
+                assert policy.num_masters == masters[name]
 
     def test_iso_load_rate_hits_target(self):
         lam = iso_load_rate(ADL, 1200, 1 / 40, 32, 0.8)

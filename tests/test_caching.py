@@ -116,6 +116,36 @@ class TestCachingPolicy:
         with pytest.raises(ValueError):
             CachingMSPolicy(8, 2, CGICache(10), hit_service_rate=0.0)
 
+    def test_hit_completion_skips_dynamic_estimators(self):
+        """A hit is counted as a static arrival; its cheap send must not
+        pull the dynamic response EWMA down or teach the sampler a
+        ``cgi:cache-hit`` family."""
+        import dataclasses
+
+        from repro.core.sampling import DemandSampler
+        from tests.conftest import make_cgi
+        from tests.test_policies import FakeView
+
+        sampler = DemandSampler()
+        cache = CGICache(capacity=10, ttl=60.0)
+        cache.insert("q", 4591, now=0.0)
+        policy = CachingMSPolicy(8, 2, cache, sampler=sampler, seed=2)
+        view = FakeView(8)
+        miss = make_cgi(req_id=0)
+        route = policy.route(miss, view)
+        policy.on_complete(miss, 0.040, False, route.node_id)
+        resp_dynamic = policy.reservation._resp_dynamic
+        assert resp_dynamic == pytest.approx(0.040)
+
+        hit = dataclasses.replace(make_cgi(req_id=1), cache_key="q")
+        route = policy.route(hit, view)
+        assert route.substitute is not None
+        policy.on_complete(route.substitute, 0.002, True, route.node_id)
+        assert policy.reservation._resp_dynamic == resp_dynamic
+        assert policy.reservation._resp_static == pytest.approx(0.002)
+        assert "cgi:cache-hit" not in sampler.families
+        assert not policy._dispatched_w
+
 
 class TestGeneratorCacheKeys:
     def test_keys_only_on_dynamic(self):

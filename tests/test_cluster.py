@@ -115,8 +115,8 @@ class TestView:
     def test_view_exposes_monitor_arrays(self, small_config):
         cluster = Cluster(small_config, FlatPolicy(4, seed=1))
         assert cluster.view.num_nodes == 4
-        assert cluster.view.cpu_idle(0) == pytest.approx(1.0)
-        assert cluster.view.disk_avail(3) == pytest.approx(1.0)
+        assert cluster.view.cpu_idle_array()[0] == pytest.approx(1.0)
+        assert cluster.view.disk_avail_array()[3] == pytest.approx(1.0)
         assert cluster.view.cpu_idle_array().shape == (4,)
 
     def test_view_active_requests(self, small_config):

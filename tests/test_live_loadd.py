@@ -93,7 +93,7 @@ def test_dead_flag_and_reconnect_probation():
     view = LiveLoadView(table, FakeClock(0.5))
     table.observe(0, 1, 1.0, 1.0, 0, now=0.0)
     table.observe(0, 2, 1.0, 1.0, 0, now=0.2)
-    assert view.all_healthy() and view.all_alive()
+    assert view.all_healthy() and view.alive_array().all()
     table.mark_dead(0)
     assert not view.is_alive(0)
     assert not view.all_healthy()

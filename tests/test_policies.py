@@ -36,12 +36,6 @@ class FakeView:
         self.alive = np.array(alive if alive is not None
                               else [True] * num_nodes, dtype=bool)
 
-    def cpu_idle(self, i):
-        return float(self._cpu[i])
-
-    def disk_avail(self, i):
-        return float(self._disk[i])
-
     def cpu_idle_array(self):
         return self._cpu
 
@@ -54,11 +48,14 @@ class FakeView:
     def is_alive(self, i):
         return bool(self.alive[i])
 
-    def all_alive(self):
-        return bool(self.alive.all())
-
     def alive_array(self):
         return self.alive
+
+    def healthy_array(self):
+        return self.alive
+
+    def all_healthy(self):
+        return bool(self.alive.all())
 
 
 class TestBaselines:
@@ -193,8 +190,6 @@ class TestMSPolicy:
             MSPolicy(4, 0)
         with pytest.raises(ValueError):
             MSPolicy(4, 5)
-        with pytest.raises(ValueError):
-            MSPolicy(4, 2, herding_discount=0.0)
 
 
 class TestMSPrime:
@@ -215,6 +210,40 @@ class TestMSPrime:
     def test_validation(self):
         with pytest.raises(ValueError):
             MSPrimePolicy(8, 0)
+
+    def test_is_ms_1_with_a_dynamic_subset(self):
+        policy = MSPrimePolicy(8, 3, seed=0)
+        assert isinstance(policy, MSPolicy)
+        assert policy.num_masters == 8
+        assert policy.reservation is None
+
+    def test_dynamic_falls_back_to_any_alive_node(self):
+        policy = MSPrimePolicy(6, 2, seed=0)
+        view = FakeView(6, alive=[False, False, True, True, True, True])
+        nodes = {policy.route(make_cgi(req_id=i), view).node_id
+                 for i in range(50)}
+        assert nodes and nodes <= {2, 3, 4, 5}
+
+    def test_completion_releases_work_without_refining_w(self):
+        sampler = DemandSampler()
+        sampler.observe("cgi:spin", 0.03, 0.01)
+        policy = MSPrimePolicy(4, 2, sampler, seed=0)
+        view = FakeView(4)
+        req = make_cgi(req_id=0, cpu=0.001, io=0.1)
+        route = policy.route(req, view)
+        assert policy._outstanding_cpu[route.node_id] == 0.75
+        policy.on_complete(req, 0.2, True, route.node_id)
+        assert not policy._outstanding_cpu.any()
+        assert not policy._outstanding_disk.any()
+        assert sampler.w("cgi:spin") == 0.75
+
+    def test_abort_releases_work(self):
+        policy = MSPrimePolicy(4, 2, seed=0)
+        req = make_cgi(req_id=0)
+        route = policy.route(req, FakeView(4))
+        policy.on_abort(req, route.node_id)
+        assert not policy._outstanding_cpu.any()
+        assert not policy._dispatched_w
 
 
 class TestFactory:
@@ -279,14 +308,30 @@ class TestSetMasters:
         policy.set_masters({0, 2})      # keeping the front end is fine
         assert policy.master_ids == frozenset({0, 2})
 
+    def test_front_end_statics_draw_nothing(self):
+        from repro.core.policies import FrontEndMSPolicy
+
+        policy = FrontEndMSPolicy(8, 3, accept_node=2, seed=1)
+        before = policy.rng.bit_generator.state
+        view = FakeView(8)
+        for i in range(20):
+            route = policy.route(make_static(req_id=i), view)
+            assert route.node_id == 2 and not route.remote
+        assert policy.rng.bit_generator.state == before
+
     def test_hetero_reweights_static_dispatch(self):
         from repro.core.policies import HeteroMSPolicy
 
-        speeds = [4.0, 1.0, 1.0, 1.0]
+        speeds = [4.0, 1.0, 3.0, 1.0]
         policy = HeteroMSPolicy(4, 2, cpu_speeds=speeds, seed=1)
-        assert policy._master_weights == pytest.approx([0.8, 0.2])
         policy.set_masters({1, 2})
-        assert policy._master_weights == pytest.approx([0.5, 0.5])
+        view = FakeView(4)
+        accepts = np.bincount(
+            [policy.route(make_static(req_id=i), view).node_id
+             for i in range(2000)], minlength=4)
+        # Only the new masters accept, split 1:3 by their CPU speeds.
+        assert accepts[0] == accepts[3] == 0
+        assert accepts[2] / accepts.sum() == pytest.approx(0.75, abs=0.04)
 
     def test_routing_uses_new_masters(self):
         policy = make_ms(4, 1, seed=1)

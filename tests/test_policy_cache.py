@@ -25,8 +25,8 @@ from tests.test_policies import FakeView
 
 
 class HealthyView(FakeView):
-    """A :class:`FakeView` that also exposes the suspicion layer, and
-    counts how often the policy looks past ``all_healthy``."""
+    """A :class:`FakeView` with suspect nodes that counts how often the
+    policy looks past ``all_healthy``."""
 
     def __init__(self, num_nodes, suspect=(), **kwargs):
         super().__init__(num_nodes, **kwargs)
@@ -42,6 +42,14 @@ class HealthyView(FakeView):
         return self.alive & ~self.suspect
 
 
+class GeneralPathView(HealthyView):
+    """Every node is healthy, but ``all_healthy`` never says so: policies
+    take the general, per-node filtering path."""
+
+    def all_healthy(self):
+        return False
+
+
 def _requests(n, cgi_every=4):
     return [make_cgi(req_id=i) if i % cgi_every == 0
             else make_static(req_id=i) for i in range(n)]
@@ -53,9 +61,9 @@ def _decisions(policy, view, requests):
 
 
 class TestFastPathEquivalence:
-    """An all-healthy view takes the fast path; a view without the
-    suspicion layer takes the general one.  Same seed, same loads:
-    the decisions and the RNG stream must match exactly."""
+    """An all-healthy view takes the fast path; a view whose
+    ``all_healthy`` answers False takes the general one.  Same seed, same
+    loads: the decisions and the RNG stream must match exactly."""
 
     @pytest.mark.parametrize("factory", [
         lambda: make_ms(8, 3, seed=4),
@@ -69,11 +77,12 @@ class TestFastPathEquivalence:
         disk = rng.uniform(0.2, 1.0, 8).round(1)
         fast, slow = factory(), factory()
         fast_view = HealthyView(8, cpu_idle=cpu, disk_avail=disk)
-        slow_view = FakeView(8, cpu_idle=cpu, disk_avail=disk)
+        slow_view = GeneralPathView(8, cpu_idle=cpu, disk_avail=disk)
         reqs = _requests(300)
         assert (_decisions(fast, fast_view, reqs)
                 == _decisions(slow, slow_view, reqs))
         assert fast_view.deep_looks == 0
+        assert slow_view.deep_looks > 0
         assert fast.rng.random() == slow.rng.random()
 
 

@@ -162,7 +162,7 @@ class TestHeteroMSPolicy:
             num_nodes = 4
             now = 0.0
 
-            def all_alive(self):
+            def all_healthy(self):
                 return True
 
         counts = [0, 0]

@@ -73,18 +73,5 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_min_rsrc(0.5, np.ones(2), np.ones(2), [])
 
-    def test_load_penalty_shifts_choice(self):
-        cpu = np.array([0.9, 0.8])
-        disk = np.ones(2)
-        penalty = np.array([5.0, 1.0])
-        # Node 0 is idler but carries outstanding work.
-        assert select_min_rsrc(0.9, cpu, disk, [0, 1],
-                               load_penalty=penalty) == 1
-
-    def test_penalty_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            select_min_rsrc(0.5, np.ones(2), np.ones(2), [0, 1],
-                            load_penalty=np.array([0.5, 1.0]))
-
     def test_single_candidate(self):
         assert select_min_rsrc(0.5, np.ones(3), np.ones(3), [2]) == 2
