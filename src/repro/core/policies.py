@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Iterable, Optional, Protocol, Sequence
+from operator import mul
+from typing import Iterable, List, Optional, Protocol, Sequence
 
 import numpy as np
 
+from repro.core.draws import BlockStream
 from repro.core.reservation import ReservationConfig, ReservationController
 from repro.core.rsrc import DEFAULT_W, rsrc_cost, select_min_rsrc
 from repro.core.sampling import DemandSampler
@@ -95,7 +97,16 @@ class Policy(abc.ABC):
         self._local = tuple(Route(i, remote=False) for i in range(num_nodes))
         self._remote = tuple(Route(i, remote=True) for i in range(num_nodes))
         self._set_roles(master_ids)
-        self.rng = np.random.default_rng(seed)
+        #: The policy's random draws; the accepting-master pick is served
+        #: from pre-drawn blocks.
+        self._draws = BlockStream(np.random.default_rng(seed))
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The policy's generator, for draws the block stream does not
+        serve.  Reading it re-syncs the stream, so the generator is
+        positioned exactly as if every draw had been a scalar call."""
+        return self._draws.generator
 
     def is_master(self, node_id: int) -> bool:
         return node_id in self.master_ids
@@ -144,8 +155,8 @@ class Policy(abc.ABC):
         must not feed the response-time estimators — a failure elapsed
         time is not a service-time observation.  Default: ignore."""
 
-    def _stash_decision(self, w: float, eff_cpu: np.ndarray,
-                        eff_disk: np.ndarray, node: int,
+    def _stash_decision(self, w: float, eff_cpu: Sequence[float],
+                        eff_disk: Sequence[float], node: int,
                         gate: Optional[bool]) -> None:
         """Record a dynamic-dispatch verdict for the tracing layer.
 
@@ -184,13 +195,13 @@ class Policy(abc.ABC):
         if view.all_healthy():
             # Same draw as the general path: the pool is every master.
             masters = self._master_list
-            return masters[self.rng.integers(len(masters))]
+            return masters[self._draws.integers(len(masters))]
         masters = self._alive(view, self._masters)
         if len(masters) == 0:
             masters = self._alive(view, self._all_nodes)
             if len(masters) == 0:
                 raise RuntimeError("no nodes in service")
-        return int(masters[self.rng.integers(len(masters))])
+        return int(masters[self._draws.integers(len(masters))])
 
     @property
     def name(self) -> str:
@@ -350,9 +361,16 @@ class MSPolicy(Policy):
         # discounting the reported idle ratios by that outstanding work
         # (HERDING_DISCOUNT) avoids herding every request onto the node
         # that looked idlest at the last rstat() poll.
-        self._outstanding_cpu = np.zeros(num_nodes)
-        self._outstanding_disk = np.zeros(num_nodes)
+        self._outstanding_cpu = [0.0] * num_nodes
+        self._outstanding_disk = [0.0] * num_nodes
         self._dispatched_w: dict[int, float] = {}
+        #: ``HERDING_DISCOUNT ** outstanding`` per node and resource,
+        #: refreshed (through ``_pow_buf``) whenever a node's outstanding
+        #: work changes.
+        self._pow_buf = np.zeros(2)
+        one_cpu, one_disk = (HERDING_DISCOUNT ** self._pow_buf).tolist()
+        self._discount_cpu = [one_cpu] * num_nodes
+        self._discount_disk = [one_disk] * num_nodes
 
     # -- routing -------------------------------------------------------------
 
@@ -366,15 +384,18 @@ class MSPolicy(Policy):
 
     def _set_roles(self, master_ids: Iterable[int]) -> None:
         super()._set_roles(master_ids)
-        #: Dynamic-dispatch candidates when every node is healthy and the
-        #: gate admits masters: slaves first, the order ties are broken in.
-        self._both = np.concatenate([self._slaves, self._masters])
+        #: Plain-int slave ids and the dynamic-dispatch candidates when
+        #: every node is healthy and the gate admits masters: slaves
+        #: first, the order ties are broken in.
+        self._slave_list = self._slaves.tolist()
+        self._both = self._slave_list + self._master_list
 
     def _candidates(self, view: LoadView):
         """Dynamic-dispatch candidate ids and the reservation-gate verdict
         they were chosen under (``None`` where the cap does not apply)."""
         if view.all_healthy():
-            slaves, masters, both = self._slaves, self._masters, self._both
+            slaves, masters, both = (self._slave_list, self._master_list,
+                                     self._both)
         else:
             slaves = self._alive(view, self._slaves)
             masters = self._alive(view, self._masters)
@@ -403,9 +424,26 @@ class MSPolicy(Policy):
         """Per-node (CPU, disk) availability the RSRC choice ranks by:
         the reported idle ratios, discounted by work this dispatcher has
         in flight there."""
-        g = HERDING_DISCOUNT
-        return (view.cpu_idle_array() * g ** self._outstanding_cpu,
-                view.disk_avail_array() * g ** self._outstanding_disk)
+        return (list(map(mul, view.cpu_idle_array().tolist(),
+                         self._discount_cpu)),
+                list(map(mul, view.disk_avail_array().tolist(),
+                         self._discount_disk)))
+
+    def _refresh_discount(self, node: int) -> None:
+        """Recompute ``node``'s cached discounts after its outstanding work
+        changed.
+
+        numpy's array ``power`` kernel computes them, as it did when the
+        discounts were recomputed for every node on every dispatch: on
+        some inputs it differs from Python's ``**`` in the last bit, which
+        would move RSRC costs.  Its result for an element does not depend
+        on the array's length, so a two-element buffer reproduces it.
+        """
+        buf = self._pow_buf
+        buf[0] = self._outstanding_cpu[node]
+        buf[1] = self._outstanding_disk[node]
+        self._discount_cpu[node], self._discount_disk[node] = (
+            HERDING_DISCOUNT ** buf).tolist()
 
     def _route_dynamic(self, request: Request, view: LoadView,
                        accept: int) -> Route:
@@ -413,11 +451,15 @@ class MSPolicy(Policy):
         w = (self.sampler.w(request.type_key) if self.sampler is not None
              else self.default_w)
         eff_cpu, eff_disk = self._effective_idle(view)
-        node = select_min_rsrc(w, eff_cpu, eff_disk, candidates, self.rng)
+        # The stream, not ``self.rng``: a tie draw re-syncs it only when
+        # one happens.
+        node = select_min_rsrc(w, eff_cpu, eff_disk, candidates,
+                               self._draws)
         if self.trace_decisions:
             self._stash_decision(w, eff_cpu, eff_disk, node, gate)
         self._outstanding_cpu[node] += w
         self._outstanding_disk[node] += 1.0 - w
+        self._refresh_discount(node)
         self._dispatched_w[request.req_id] = w
         if self.reservation is not None:
             self.reservation.record_decision(node in self.master_ids)
@@ -432,6 +474,7 @@ class MSPolicy(Policy):
                 0.0, self._outstanding_cpu[node_id] - w)
             self._outstanding_disk[node_id] = max(
                 0.0, self._outstanding_disk[node_id] - (1.0 - w))
+            self._refresh_discount(node_id)
 
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
@@ -569,6 +612,8 @@ class HeteroMSPolicy(MSPolicy):
             raise ValueError("disk speeds must be positive")
         self.cpu_speeds = cpu
         self.disk_speeds = disk
+        self._cpu_speed_list: List[float] = cpu.tolist()
+        self._disk_speed_list: List[float] = disk.tolist()
 
     def _random_alive_master(self, view: LoadView) -> int:
         masters = self._alive(view, self._masters)
@@ -581,11 +626,12 @@ class HeteroMSPolicy(MSPolicy):
     def _effective_idle(self, view: LoadView):
         # Effective *capacity* per resource: speed times available ratio,
         # discounted by work this dispatcher has in flight there.
-        g = HERDING_DISCOUNT
-        return (self.cpu_speeds * view.cpu_idle_array()
-                * g ** self._outstanding_cpu,
-                self.disk_speeds * view.disk_avail_array()
-                * g ** self._outstanding_disk)
+        return (list(map(mul, map(mul, self._cpu_speed_list,
+                                  view.cpu_idle_array().tolist()),
+                         self._discount_cpu)),
+                list(map(mul, map(mul, self._disk_speed_list,
+                                  view.disk_avail_array().tolist()),
+                         self._discount_disk)))
 
 
 class RedirectMSPolicy(MSPolicy):

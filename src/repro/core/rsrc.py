@@ -12,9 +12,11 @@ and picks the node with the minimum cost.  ``w`` comes from offline sampling
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
+
+from repro.core.draws import BlockStream
 
 #: Idle ratios are floored at this value so a saturated resource yields a
 #: large-but-finite cost instead of a division by zero.
@@ -47,32 +49,41 @@ def rsrc_cost(w: float, cpu_idle, disk_avail, floor: float = IDLE_FLOOR):
 
 def select_min_rsrc(
     w: float,
-    cpu_idle: np.ndarray,
-    disk_avail: np.ndarray,
+    cpu_idle: Sequence[float],
+    disk_avail: Sequence[float],
     candidates: Sequence[int],
-    rng: Optional[np.random.Generator] = None,
+    rng: Optional[Union[np.random.Generator, BlockStream]] = None,
 ) -> int:
     """Pick the candidate node with the minimum RSRC.
 
-    Near-ties are broken uniformly at random (when ``rng`` is given) so that
-    a fleet of equally idle nodes does not herd onto the lowest index
-    between two load-monitor updates.  Work dispatched since the last
-    update is folded in by the caller, which discounts the idle ratios it
-    passes (see :data:`repro.core.policies.HERDING_DISCOUNT`).
+    ``cpu_idle``/``disk_avail`` are per-node ratios indexed by node id
+    (lists or arrays).  Near-ties are broken uniformly at random (when
+    ``rng`` is given) so that a fleet of equally idle nodes does not herd
+    onto the lowest index between two load-monitor updates.  Work
+    dispatched since the last update is folded in by the caller, which
+    discounts the idle ratios it passes (see
+    :data:`repro.core.policies.HERDING_DISCOUNT`).
+
+    Costs are Equation 5 on plain floats — the same operations, in the
+    same order, as :func:`rsrc_cost` — and the first minimum wins
+    without ``rng``, as ``argmin`` would pick it.
     """
-    cand = np.asarray(candidates, dtype=np.intp)
-    if cand.ndim != 1:
-        cand = cand.reshape(-1)
-    if cand.size == 0:
+    if not 0.0 <= w <= 1.0:
+        raise ValueError(f"w must be in [0, 1]; got {w}")
+    if len(candidates) == 0:
         raise ValueError("candidate set is empty")
-    # Cost every node, then pick the candidates out: one gather instead
-    # of two, and the same per-element arithmetic.
-    costs = rsrc_cost(w, cpu_idle, disk_avail)[cand]
-    # Array methods rather than their np.* wrappers: this runs once per
-    # dynamic request.
-    first = int(costs.argmin())
-    if rng is None:
-        return int(cand[first])
-    ties = (costs <= costs[first] + TIE_TOLERANCE).nonzero()[0]
-    pick = ties[int(rng.integers(len(ties)))] if len(ties) > 1 else ties[0]
-    return int(cand[pick])
+    floor = IDLE_FLOOR
+    w_disk = 1.0 - w
+    costs = []
+    for i in candidates:
+        cpu = cpu_idle[i]
+        disk = disk_avail[i]
+        costs.append(w / (floor if cpu < floor else cpu)
+                     + w_disk / (floor if disk < floor else disk))
+    best = min(costs)
+    if rng is not None:
+        limit = best + TIE_TOLERANCE
+        ties = [j for j, cost in enumerate(costs) if cost <= limit]
+        if len(ties) > 1:
+            return int(candidates[ties[int(rng.integers(len(ties)))]])
+    return int(candidates[costs.index(best)])

@@ -108,15 +108,20 @@ def theta_bounds(w: Workload, m: int) -> tuple[float, float]:
     # Station utilisations as degree-1 polynomials in theta.
     u_master = (rho / m, rho * a / (r * m))
     u_slave = (rho * a / (r * (p - m)), -rho * a / (r * (p - m)))
-    pm = (1.0 - u_master[0], -u_master[1])       # 1 - U_M(theta)
-    ps = (1.0 - u_slave[0], -u_slave[1])         # 1 - U_S(theta)
+    pm0, pm1 = 1.0 - u_master[0], -u_master[1]      # 1 - U_M(theta)
+    ps0, ps1 = 1.0 - u_slave[0], -u_slave[1]        # 1 - U_S(theta)
 
-    # N(theta) = (1+a*theta)*PS + a*(1-theta)*PM - (1+a)*SF*PM*PS  <=  0
-    n = npoly.polyadd(
-        npoly.polymul((1.0, a), ps),
-        npoly.polymul((a, -a), pm),
-    )
-    n = npoly.polysub(n, (1.0 + a) * sf * npoly.polymul(pm, ps))
+    # N(theta) = (1+a*theta)*PS + a*(1-theta)*PM - (1+a)*SF*PM*PS  <=  0,
+    # coefficient by coefficient, lowest degree first.  The grouping is
+    # that of a polynomial product then sum/difference; regrouping moves
+    # the roots' last bits, which tests/test_theorem.py pins.
+    k = (1.0 + a) * sf
+    n = np.array((
+        (ps0 + a * pm0) - k * (pm0 * ps0),
+        ((ps1 + a * ps0) + (a * pm1 + -a * pm0))
+        - k * (pm0 * ps1 + pm1 * ps0),
+        (a * ps1 + -a * pm1) - k * (pm1 * ps1),
+    ))
 
     roots = npoly.polyroots(n)
     real = sorted(float(z.real) for z in roots if abs(z.imag) < 1e-9)
@@ -163,6 +168,13 @@ class MSDesign:
         return self.stretch.total
 
 
+def _midpoint(bounds: tuple[float, float]) -> float:
+    """The paper's ``theta_m = max((theta_1 + theta_2)/2, 0)``, clamped
+    to a fraction."""
+    t1, t2 = bounds
+    return min(max((t1 + t2) / 2.0, 0.0), 1.0)
+
+
 def theta_opt(w: Workload, m: int, method: ThetaMethod = "midpoint") -> float:
     """Best master-side dynamic fraction for a fixed master count.
 
@@ -171,10 +183,9 @@ def theta_opt(w: Workload, m: int, method: ThetaMethod = "midpoint") -> float:
     ablation: the true optimum of the rational SM is not exactly the
     midpoint of the winning interval).
     """
-    t1, t2 = theta_bounds(w, m)
+    bounds = theta_bounds(w, m)
     if method == "midpoint":
-        theta = max((t1 + t2) / 2.0, 0.0)
-        return min(theta, 1.0)
+        return _midpoint(bounds)
     if method == "numeric":
         from scipy.optimize import minimize_scalar
 
@@ -210,7 +221,8 @@ def design_for_m(w: Workload, m: int,
         bounds = theta_bounds(w, m)
     except (ValueError, ArithmeticError):
         return None
-    theta = theta_opt(w, m, method)
+    theta = (_midpoint(bounds) if method == "midpoint"
+             else theta_opt(w, m, method))
     stretch = ms_stretch(w, m, theta)
     if not stretch.stable:
         return None

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.sim.config import MemoryConfig
 from repro.sim.process import SimProcess
 
@@ -37,17 +35,16 @@ class MemoryManager:
     """Tracks physical pages of one node and generates fault I/O."""
 
     __slots__ = ("cfg", "free_pages", "resident", "faults", "steals",
-                 "refaults", "_rng", "peak_resident", "_allocatable",
+                 "refaults", "peak_resident", "_allocatable",
                  "_miss_base", "_miss_span")
 
-    def __init__(self, cfg: MemoryConfig, rng: np.random.Generator):
+    def __init__(self, cfg: MemoryConfig):
         self.cfg = cfg
         self.free_pages = cfg.total_pages - cfg.reserved_pages
         self.resident: Dict[SimProcess, int] = {}
         self.faults = 0      # pages faulted in from disk
         self.steals = 0      # pages stolen from victims
         self.refaults = 0    # pages re-faulted by victims
-        self._rng = rng
         self.peak_resident = 0
         # Read by static_miss_probability, once per static request.
         self._allocatable = cfg.total_pages - cfg.reserved_pages

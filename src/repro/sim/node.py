@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.draws import BlockStream
 from repro.obs.trace import ADMIT, START
 from repro.sim.config import SimConfig
 from repro.sim.cpu import CPU
@@ -42,12 +43,13 @@ class Node:
     node_id:
         Index of this node within the cluster.
     rng:
-        Node-private random generator (burst jitter).
+        Node-private random generator (static cache misses, burst
+        jitter), drawn from in blocks (see :attr:`rng`).
     on_complete:
         Callback ``fn(node, proc)`` invoked when a request finishes.
     """
 
-    __slots__ = ("engine", "cfg", "node_id", "rng", "on_complete",
+    __slots__ = ("engine", "cfg", "node_id", "_draws", "on_complete",
                  "cpu", "disk", "memory", "active", "admitted", "completed",
                  "static_misses", "cpu_speed", "disk_speed", "procs",
                  "failed", "failures", "backlog", "busy_slots", "transfers",
@@ -60,11 +62,13 @@ class Node:
         self.engine = engine
         self.cfg = cfg
         self.node_id = node_id
-        self.rng = rng
+        #: Every draw the node makes is a double: the static cache-miss
+        #: test and ``build_plan``'s jitter share one block stream.
+        self._draws = BlockStream(rng)
         self.on_complete = on_complete
         self.cpu = CPU(engine, cfg.cpu, self._advance)
         self.disk = Disk(engine, cfg.disk, self._advance)
-        self.memory = MemoryManager(cfg.memory, rng)
+        self.memory = MemoryManager(cfg.memory)
         self.active = 0
         self.admitted = 0
         self.completed = 0
@@ -93,6 +97,13 @@ class Node:
         self._release_cb = self._release_slot
         #: Observability tap (set by the cluster; ``None`` = disabled).
         self._tracer = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The node's generator.  Reading it re-syncs the block stream,
+        so the generator is positioned exactly as if every draw had been
+        a scalar call."""
+        return self._draws.generator
 
     # -- admission ------------------------------------------------------------
 
@@ -156,7 +167,7 @@ class Node:
             # Static requests are CPU-only unless the file cache misses, in
             # which case the file must be read from disk.  Misses get more
             # likely as CGI working sets squeeze the cache.
-            if self.rng.random() < self.memory.static_miss_probability():
+            if self._draws.random() < self.memory.static_miss_probability():
                 pages = max(1, -(-request.size_bytes //
                                  cfg.memory.page_size))
                 io_demand += pages * cfg.disk.page_time
@@ -166,7 +177,8 @@ class Node:
         # virtual time.
         cpu_demand = request.cpu_demand / self.cpu_speed
         io_demand /= self.disk_speed
-        plan = build_plan(cpu_demand, io_demand, self._io_chunk, self.rng)
+        plan = build_plan(cpu_demand, io_demand, self._io_chunk,
+                          self._draws)
         if dynamic and cfg.cpu.fork_overhead > 0:
             plan.insert(0, (CPU_BURST,
                             cfg.cpu.fork_overhead / self.cpu_speed))

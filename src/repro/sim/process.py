@@ -48,7 +48,9 @@ def build_plan(
     CPU demand is spread evenly between them, starting and ending with CPU
     (parse / respond).  When ``rng`` is given, chunk boundaries are jittered
     by up to 30% to avoid lock-step convoy effects between identical
-    requests.
+    requests; ``rng`` is anything with ``Generator.uniform``'s
+    ``uniform(low, high, size)`` (a node passes its
+    :class:`~repro.core.draws.BlockStream`).
 
     >>> plan = build_plan(0.03, 0.02, 0.016)
     >>> abs(sum(d for k, d in plan if k == CPU_BURST) - 0.03) < 1e-12

@@ -1,6 +1,5 @@
 """Unit tests for the demand-paged virtual-memory manager."""
 
-import numpy as np
 import pytest
 
 from repro.sim.config import MemoryConfig
@@ -12,7 +11,7 @@ from tests.conftest import make_cgi
 def make_mm(**overrides):
     cfg = MemoryConfig(**overrides)
     cfg.validate()
-    return MemoryManager(cfg, np.random.default_rng(0))
+    return MemoryManager(cfg)
 
 
 def proc(pages, rid=0):

@@ -1,9 +1,12 @@
 """Unit tests for Theorem 1: theta bounds, master sizing, optimality."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import iso_load_rate
 from repro.core.queuing import Workload, flat_stretch, ms_stretch
 from repro.core.theorem import (
     design_for_m,
@@ -15,6 +18,7 @@ from repro.core.theorem import (
     theta_feasible_interval,
     theta_opt,
 )
+from repro.workload.traces import ADL, KSU, UCB
 
 
 @pytest.fixture
@@ -214,3 +218,31 @@ class TestDegenerateWorkloads:
             theta_bounds(static_only, 4)
         with pytest.raises(ValueError, match="theta2_closed_form:"):
             theta2_closed_form(static_only, 4)
+
+
+#: ``repr(theta_bounds(w, m))`` for every m, and ``optimal_masters(w)``'s
+#: ``m``/``theta``, on an ADL/UCB/KSU x p x utilisation grid, recorded
+#: when ``theta_bounds`` still built its quadratic with
+#: ``numpy.polynomial`` arithmetic.
+PIN_PATH = Path(__file__).with_name("data") / "theorem_pin.json"
+PIN_TRACES = {"ADL": ADL, "UCB": UCB, "KSU": KSU}
+
+
+def _pinned_cases():
+    return sorted(json.loads(PIN_PATH.read_text()).items())
+
+
+@pytest.mark.parametrize("key,expected", _pinned_cases(),
+                         ids=[k for k, _ in _pinned_cases()])
+def test_theorem_solve_is_bit_identical(key, expected):
+    name, p, util = key.split("/")
+    spec, p = PIN_TRACES[name], int(p)
+    lam = iso_load_rate(spec, 1200.0, 1 / 40, p, float(util))
+    w = Workload.from_ratios(lam=lam, a=spec.arrival_ratio_a, mu_h=1200.0,
+                             r=1 / 40, p=p)
+    got = {str(m): repr(theta_bounds(w, m)) for m in range(1, p)}
+    assert got == expected["bounds"]
+    design = optimal_masters(w)
+    assert (design.m, repr(design.theta)) == (expected["m"],
+                                              expected["theta"])
+    assert design.theta_bounds == theta_bounds(w, design.m)
