@@ -31,115 +31,55 @@ Quickstart
 True
 """
 
-from repro.analysis.planner import (
-    ClusterPlan,
-    headroom,
-    max_sustainable_rate,
-    size_cluster,
-)
-from repro.core.caching import CachingMSPolicy, CGICache
-from repro.core.hetero import (
-    HeteroDesign,
-    hetero_flat_stretch,
-    hetero_ms_stretch,
-    hetero_reservation_ratio,
-    optimal_masters_hetero,
-)
-from repro.core.policies import (
-    DNSAffinityPolicy,
-    FlatPolicy,
-    HeteroMSPolicy,
-    LeastActivePolicy,
-    MSPolicy,
-    MSPrimePolicy,
-    Policy,
-    RedirectMSPolicy,
-    Route,
-    RoundRobinPolicy,
-    make_ms,
-    make_ms_1,
-    make_ms_ns,
-    make_ms_nr,
-    make_policy,
-)
-from repro.core.queuing import (
-    MSStretch,
-    Workload,
-    best_msprime,
-    flat_stretch,
-    ms_stretch,
-    msprime_stretch,
-)
-from repro.core.reservation import ReservationConfig, ReservationController
-from repro.core.rsrc import rsrc_cost, select_min_rsrc
-from repro.core.sampling import DemandSampler
-from repro.core.stretch import combine_stretch, improvement_percent, stretch_factor
-from repro.core.theorem import (
-    MSDesign,
-    min_masters,
-    optimal_masters,
-    reservation_ratio,
-    theta_bounds,
-    theta_opt,
-)
-from repro.sim.cluster import Cluster
-from repro.sim.config import (
-    ConnectionConfig,
-    SimConfig,
-    paper_sim_config,
-    testbed_sim_config,
-)
-from repro.sim.failures import (
-    FailureInjector,
-    FailurePolicy,
-    RecruitmentSchedule,
-)
-from repro.sim.metrics import MetricsReport
-from repro.workload.clf import CLFImportOptions, import_clf
-from repro.workload.generator import generate_trace, trace_statistics
-from repro.workload.io import load_trace, save_trace
-from repro.workload.sessions import SessionConfig, sessionize
-from repro.workload.replay import ReplayResult, pretrain_sampler, replay
-from repro.workload.request import Request, RequestKind
-from repro.workload.traces import (
-    ADL,
-    DEC,
-    EXPERIMENT_TRACES,
-    KSU,
-    TRACES,
-    UCB,
-    get_trace,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
+# Exported names by defining module, resolved on first access (see
+# repro._lazy): ``import repro`` stays cheap for processes that need only
+# a corner of the package, such as the live slaves.
+_EXPORTS = {
     # core
-    "Policy", "Route", "FlatPolicy", "RoundRobinPolicy", "LeastActivePolicy",
-    "DNSAffinityPolicy",
-    "MSPolicy", "MSPrimePolicy", "RedirectMSPolicy", "HeteroMSPolicy",
-    "CGICache", "CachingMSPolicy",
-    "make_ms", "make_ms_ns", "make_ms_nr", "make_ms_1", "make_policy",
-    "Workload", "MSStretch", "flat_stretch", "ms_stretch",
-    "msprime_stretch", "best_msprime",
-    "MSDesign", "optimal_masters", "theta_bounds", "theta_opt",
-    "min_masters", "reservation_ratio",
-    "HeteroDesign", "optimal_masters_hetero", "hetero_ms_stretch",
-    "hetero_flat_stretch", "hetero_reservation_ratio",
-    "rsrc_cost", "select_min_rsrc", "DemandSampler",
-    "ReservationController", "ReservationConfig",
-    "stretch_factor", "combine_stretch", "improvement_percent",
-    "ClusterPlan", "size_cluster", "max_sustainable_rate", "headroom",
+    "repro.core.policies": (
+        "Policy", "Route", "FlatPolicy", "RoundRobinPolicy",
+        "LeastActivePolicy", "DNSAffinityPolicy",
+        "MSPolicy", "MSPrimePolicy", "RedirectMSPolicy", "HeteroMSPolicy",
+        "make_ms", "make_ms_ns", "make_ms_nr", "make_ms_1", "make_policy"),
+    "repro.core.caching": ("CGICache", "CachingMSPolicy"),
+    "repro.core.queuing": (
+        "Workload", "MSStretch", "flat_stretch", "ms_stretch",
+        "msprime_stretch", "best_msprime"),
+    "repro.core.theorem": (
+        "MSDesign", "optimal_masters", "theta_bounds", "theta_opt",
+        "min_masters", "reservation_ratio"),
+    "repro.core.hetero": (
+        "HeteroDesign", "optimal_masters_hetero", "hetero_ms_stretch",
+        "hetero_flat_stretch", "hetero_reservation_ratio"),
+    "repro.core.rsrc": ("rsrc_cost", "select_min_rsrc"),
+    "repro.core.sampling": ("DemandSampler",),
+    "repro.core.reservation": ("ReservationController", "ReservationConfig"),
+    "repro.core.stretch": (
+        "stretch_factor", "combine_stretch", "improvement_percent"),
+    "repro.analysis.planner": (
+        "ClusterPlan", "size_cluster", "max_sustainable_rate", "headroom"),
     # sim
-    "Cluster", "SimConfig", "ConnectionConfig", "paper_sim_config",
-    "testbed_sim_config",
-    "MetricsReport",
-    "FailurePolicy", "FailureInjector", "RecruitmentSchedule",
+    "repro.sim.cluster": ("Cluster",),
+    "repro.sim.config": (
+        "SimConfig", "ConnectionConfig", "paper_sim_config",
+        "testbed_sim_config"),
+    "repro.sim.metrics": ("MetricsReport",),
+    "repro.sim.failures": (
+        "FailurePolicy", "FailureInjector", "RecruitmentSchedule"),
     # workload
-    "Request", "RequestKind", "generate_trace", "trace_statistics",
-    "replay", "ReplayResult", "pretrain_sampler",
-    "save_trace", "load_trace", "import_clf", "CLFImportOptions",
-    "sessionize", "SessionConfig",
-    "TRACES", "EXPERIMENT_TRACES", "DEC", "UCB", "KSU", "ADL", "get_trace",
-    "__version__",
-]
+    "repro.workload.request": ("Request", "RequestKind"),
+    "repro.workload.generator": ("generate_trace", "trace_statistics"),
+    "repro.workload.replay": ("replay", "ReplayResult", "pretrain_sampler"),
+    "repro.workload.io": ("save_trace", "load_trace"),
+    "repro.workload.clf": ("import_clf", "CLFImportOptions"),
+    "repro.workload.sessions": ("sessionize", "SessionConfig"),
+    "repro.workload.traces": (
+        "TRACES", "EXPERIMENT_TRACES", "DEC", "UCB", "KSU", "ADL",
+        "get_trace"),
+}
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__ += ["__version__"]

@@ -8,11 +8,12 @@ controller and demand sampler, fed through the
 serving cluster on localhost:
 
 * :mod:`~repro.live.kernel` — calibrated CPU-burn / sleep realisation of
-  request demands, plus the busy-time meter behind load reporting;
+  request demands, plus the busy-time meter and the heartbeat daemon
+  that reports it;
 * :mod:`~repro.live.protocol` — length-prefixed JSON framing for the
-  persistent remote-CGI connections;
-* :mod:`~repro.live.loadd` — UDP heartbeat daemon and the master-side
-  load table with rstat()-style staleness/suspicion semantics;
+  persistent remote-CGI connections, and the UDP heartbeat datagram;
+* :mod:`~repro.live.loadd` — the master-side heartbeat endpoint and load
+  table with rstat()-style staleness/suspicion semantics;
 * :mod:`~repro.live.node` — per-node worker pool, the framed CGI
   service, and the slave process entry point;
 * :mod:`~repro.live.master` — the HTTP front end running the scheduler,
@@ -24,33 +25,19 @@ serving cluster on localhost:
   cross-validation.
 """
 
-from repro.live.cluster import LiveCluster, LiveClusterConfig
-from repro.live.kernel import BusyMeter, LiveClock, burn_cpu, calibrate
-from repro.live.loadd import LiveLoadView, LoadReporter, LoadTable
-from repro.live.loadgen import LoadGenResult, run_loadgen
-from repro.live.master import LiveMetrics, MasterServer, PeerConnection
-from repro.live.node import CGIService, WorkerPool, run_slave
-from repro.live.validate import TOLERANCE, ValidationResult, validate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BusyMeter",
-    "CGIService",
-    "LiveCluster",
-    "LiveClusterConfig",
-    "LiveClock",
-    "LiveLoadView",
-    "LiveMetrics",
-    "LoadGenResult",
-    "LoadReporter",
-    "LoadTable",
-    "MasterServer",
-    "PeerConnection",
-    "TOLERANCE",
-    "ValidationResult",
-    "WorkerPool",
-    "burn_cpu",
-    "calibrate",
-    "run_loadgen",
-    "run_slave",
-    "validate",
-]
+# Exported names by defining module, resolved on first access (see
+# repro._lazy): a slave process imports this package on its way to
+# repro.live.slave and must not pay for numpy or the simulator.
+_EXPORTS = {
+    "repro.live.cluster": ("LiveCluster", "LiveClusterConfig"),
+    "repro.live.kernel": (
+        "BusyMeter", "LiveClock", "LoadReporter", "burn_cpu", "calibrate"),
+    "repro.live.loadd": ("LiveLoadView", "LoadTable"),
+    "repro.live.loadgen": ("LoadGenResult", "run_loadgen"),
+    "repro.live.master": ("LiveMetrics", "MasterServer", "PeerConnection"),
+    "repro.live.node": ("CGIService", "WorkerPool", "run_slave"),
+    "repro.live.validate": ("TOLERANCE", "ValidationResult", "validate"),
+}
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

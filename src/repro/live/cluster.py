@@ -4,14 +4,17 @@ slave subprocesses.
 The master runs inside the caller's event loop (so tests and the load
 generator can reach its tracer, policy, and metrics directly); each slave
 is a real separate Python process spawned with ``python -m
-repro.live.node``, discovered through the one-line ``READY`` handshake it
+repro.live.slave``, discovered through the one-line ``READY`` handshake it
 prints on stdout (the OS assigns its CGI port, so there is no port race).
 Slaves heartbeat the master over UDP; the master opens one persistent
 framed-TCP connection per slave for remote CGI.
 
-Startup is complete when :meth:`LiveCluster.start` returns: every slave
-is connected, heard from, and past heartbeat probation — dispatch
-decisions from the first request onward run against fresh telemetry.
+Slaves are spawned concurrently: each one's start-up is mostly its own
+interpreter importing :mod:`repro.live.slave`, a path kept free of numpy
+and the simulator.  Startup is complete when :meth:`LiveCluster.start`
+returns: every slave is connected, heard from, and past heartbeat
+probation — dispatch decisions from the first request onward run against
+fresh telemetry.
 """
 
 from __future__ import annotations
@@ -75,17 +78,35 @@ class LiveCluster:
         self.slave_ports: List[int] = []
 
     async def start(self, healthy_timeout: float = 15.0) -> None:
-        """Bind the master, spawn + connect every slave, wait healthy."""
+        """Bind the master, spawn every slave at once, connect them in
+        node-id order, wait healthy.
+
+        If any slave fails to come up, the spawns still in flight are
+        cancelled and every child process already created is terminated
+        and reaped before the error propagates.
+        """
         await self.master.start()
         try:
-            for slave_id in range(1, self.cfg.num_nodes):
-                port = await self._spawn_slave(slave_id)
-                self.slave_ports.append(port)
+            self.slave_ports = await self._spawn_all()
+            for slave_id, port in enumerate(self.slave_ports, start=1):
                 await self.master.connect_peer(slave_id, self.cfg.host, port)
             await self.master.wait_healthy(timeout=healthy_timeout)
         except BaseException:
             await self.stop()
             raise
+
+    async def _spawn_all(self) -> List[int]:
+        """Spawn every slave concurrently; their ports in node-id order."""
+        loop = asyncio.get_running_loop()
+        tasks = [loop.create_task(self._spawn_slave(slave_id))
+                 for slave_id in range(1, self.cfg.num_nodes)]
+        try:
+            return list(await asyncio.gather(*tasks))
+        finally:
+            # gather leaves the siblings of a failed spawn running.
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
 
     async def _spawn_slave(self, slave_id: int) -> int:
         assert self.master.udp_port is not None

@@ -20,14 +20,23 @@ so it lands within a chunk of the target regardless of drift.
 :class:`BusyMeter` is the live counterpart of the simulator's per-device
 busy-time counters: workers report completed CPU/disk seconds, and the
 load daemon differentiates the totals into windowed utilisations exactly
-like :class:`repro.sim.monitor.LoadMonitor` does for ``rstat()``.
+like :class:`repro.sim.monitor.LoadMonitor` does for ``rstat()``, and
+:class:`LoadReporter` sends each window to the masters as one heartbeat.
+Every node runs this module, slaves included, so nothing it imports loads
+numpy: a slave process starts in a fraction of the time an import of the
+whole package would take.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
-from typing import Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
+
+from repro.live.protocol import encode_heartbeat
+from repro.sim.config import MonitorConfig
+
 
 class LiveClock:
     """Monotonic seconds since one process-local epoch.
@@ -173,3 +182,73 @@ class BusyMeter:
         cpu_idle = 1.0 - min(1.0, max(0.0, cpu_busy / denom))
         disk_avail = 1.0 - min(1.0, max(0.0, io_busy / denom))
         return cpu_idle, disk_avail
+
+
+class LoadReporter:
+    """One node's heartbeat daemon.
+
+    Samples the node's :class:`BusyMeter` once when started and then
+    every ``cfg.period`` seconds, and delivers the heartbeat to every
+    destination: remote masters over UDP, and — for a master reporting
+    about itself — a direct function call into its own table (no loopback
+    round-trip for self-knowledge).
+    """
+
+    def __init__(self, node_id: int, meter: BusyMeter, clock,
+                 udp_targets: Sequence[Tuple[str, int]] = (),
+                 local_observe: Optional[Callable[[bytes], None]] = None,
+                 cfg: Optional[MonitorConfig] = None):
+        self.node_id = node_id
+        self.meter = meter
+        self.clock = clock
+        self.udp_targets = list(udp_targets)
+        self.local_observe = local_observe
+        self.cfg = cfg or MonitorConfig()
+        self.seq = 0
+        self.sent = 0
+        self._task: Optional[asyncio.Task] = None
+        self._transport: Optional[asyncio.DatagramTransport] = None
+
+    async def start(self) -> None:
+        """Send the first heartbeat now, then one per period.
+
+        Beating at start, not one period later, lets a new node work off
+        its heartbeat probation a period sooner.
+        """
+        loop = asyncio.get_running_loop()
+        if self.udp_targets:
+            self._transport, _ = await loop.create_datagram_endpoint(
+                asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0))
+        self.beat_once(self.clock.now)
+        self._task = loop.create_task(self._run(), name=f"loadd-{self.node_id}")
+
+    async def stop(self) -> None:
+        if self._task is not None:
+            self._task.cancel()
+            try:
+                await self._task
+            except asyncio.CancelledError:
+                pass
+            self._task = None
+        if self._transport is not None:
+            self._transport.close()
+            self._transport = None
+
+    def beat_once(self, now: float) -> bytes:
+        """Build and deliver one heartbeat (exposed for tests)."""
+        cpu_idle, disk_avail = self.meter.sample(now)
+        self.seq += 1
+        payload = encode_heartbeat(self.node_id, self.seq, cpu_idle,
+                                   disk_avail, self.meter.active)
+        if self.local_observe is not None:
+            self.local_observe(payload)
+        if self._transport is not None:
+            for addr in self.udp_targets:
+                self._transport.sendto(payload, addr)
+        self.sent += 1
+        return payload
+
+    async def _run(self) -> None:
+        while True:
+            await asyncio.sleep(self.cfg.period)
+            self.beat_once(self.clock.now)

@@ -1,59 +1,39 @@
-"""The live load daemon: UDP heartbeats feeding the RSRC predictor.
+"""The master side of the live load daemon: heartbeats feeding RSRC.
 
 "In our implementation, we use the Unix rstat() function to collect the
 load information on each node."  The live cluster replaces the rstat poll
-with a push daemon: every node periodically broadcasts a small UDP
-datagram carrying its CPU-idle and disk-available ratios (from its
-:class:`~repro.live.kernel.BusyMeter`), and every master folds the
-datagrams into a :class:`LoadTable`.
+with a push daemon: every node periodically sends a small UDP datagram
+carrying its CPU-idle and disk-available ratios (the
+:class:`~repro.live.kernel.LoadReporter` sampling its
+:class:`~repro.live.kernel.BusyMeter`; the datagram format lives in
+:mod:`repro.live.protocol`), and every master folds the datagrams into a
+:class:`LoadTable`.  The sender side stays in :mod:`repro.live.kernel`
+so a slave process never imports this module or numpy.
 
 Staleness reuses the suspicion semantics of the simulator's monitor /
-resilience layer (:class:`repro.sim.monitor.LoadMonitor`, PR 1): a node
-whose heartbeat has not arrived for ``suspect_after`` seconds is marked
+resilience layer (:class:`repro.sim.monitor.LoadMonitor`): a node whose
+heartbeat has not arrived for ``suspect_after`` seconds is marked
 *suspect* and excluded from RSRC candidate sets before any formal failure
-detection; a returning node sits out ``probation_samples`` heartbeats
-before being trusted again, because its first reports describe an idle
-that no longer exists.  The knobs come from the same
+detection.  A node sits out ``probation_samples`` heartbeats before it is
+trusted: a new node from its first report on, a returning node — silent
+past ``suspect_after``, reconnected after its transport died, or
+re-registered by the control plane — again from its return, because its
+first reports describe an idle that no longer exists.  First contact
+does not restart probation: heartbeats a new node sent before its master
+connected to it count.  The knobs come from the same
 :class:`repro.sim.config.MonitorConfig` the simulator uses, so an
 experiment tunes one object for both substrates.
-
-Heartbeat datagram (JSON, one per packet)::
-
-    {"node": 3, "seq": 17, "cpu_idle": 0.93, "disk_avail": 0.71, "active": 2}
-
-Sequence numbers are per-node monotonic; the table drops reordered or
-replayed packets (UDP may duplicate and reorder even on loopback).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.live.kernel import BusyMeter
+from repro.live.protocol import decode_heartbeat
 from repro.sim.config import MonitorConfig
-
-
-def encode_heartbeat(node_id: int, seq: int, cpu_idle: float,
-                     disk_avail: float, active: int) -> bytes:
-    return json.dumps(
-        {"node": node_id, "seq": seq, "cpu_idle": cpu_idle,
-         "disk_avail": disk_avail, "active": active},
-        separators=(",", ":")).encode("utf-8")
-
-
-def decode_heartbeat(data: bytes) -> Optional[dict]:
-    """Parse one datagram; ``None`` for garbage (UDP is unauthenticated)."""
-    try:
-        msg = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
-    if not isinstance(msg, dict) or "node" not in msg or "seq" not in msg:
-        return None
-    return msg
 
 
 class LoadTable:
@@ -137,8 +117,16 @@ class LoadTable:
         self.dead[node_id] = True
 
     def mark_alive(self, node_id: int) -> None:
+        """Re-register a returning node: clear its dead flag and restart
+        its probation.
+
+        Callers are a reconnect after :meth:`mark_dead` and a control-plane
+        role re-registration — not first contact, which must keep the
+        heartbeats a new node already sent (a never-heard node is on
+        probation anyway: its first heartbeat takes the staleness path).
+        """
         self.dead[node_id] = False
-        self._ok_streak[node_id] = 0    # probation after a reconnect
+        self._ok_streak[node_id] = 0
 
     def suspect_array(self, now: float) -> np.ndarray:
         """Stale-heartbeat / on-probation flags, recomputed at ``now``."""
@@ -192,69 +180,6 @@ class LiveLoadView:
 
     def all_healthy(self) -> bool:
         return bool(self.healthy_array().all())
-
-
-class LoadReporter:
-    """One node's heartbeat daemon.
-
-    Samples the node's :class:`BusyMeter` every ``cfg.period`` seconds and
-    delivers the heartbeat to every destination: remote masters over UDP,
-    and — for a master reporting about itself — a direct function call
-    into its own table (no loopback round-trip for self-knowledge).
-    """
-
-    def __init__(self, node_id: int, meter: BusyMeter, clock,
-                 udp_targets: Sequence[Tuple[str, int]] = (),
-                 local_observe: Optional[Callable[[bytes], None]] = None,
-                 cfg: Optional[MonitorConfig] = None):
-        self.node_id = node_id
-        self.meter = meter
-        self.clock = clock
-        self.udp_targets = list(udp_targets)
-        self.local_observe = local_observe
-        self.cfg = cfg or MonitorConfig()
-        self.seq = 0
-        self.sent = 0
-        self._task: Optional[asyncio.Task] = None
-        self._transport: Optional[asyncio.DatagramTransport] = None
-
-    async def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        if self.udp_targets:
-            self._transport, _ = await loop.create_datagram_endpoint(
-                asyncio.DatagramProtocol, local_addr=("127.0.0.1", 0))
-        self._task = loop.create_task(self._run(), name=f"loadd-{self.node_id}")
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        if self._transport is not None:
-            self._transport.close()
-            self._transport = None
-
-    def beat_once(self, now: float) -> bytes:
-        """Build and deliver one heartbeat (exposed for tests)."""
-        cpu_idle, disk_avail = self.meter.sample(now)
-        self.seq += 1
-        payload = encode_heartbeat(self.node_id, self.seq, cpu_idle,
-                                   disk_avail, self.meter.active)
-        if self.local_observe is not None:
-            self.local_observe(payload)
-        if self._transport is not None:
-            for addr in self.udp_targets:
-                self._transport.sendto(payload, addr)
-        self.sent += 1
-        return payload
-
-    async def _run(self) -> None:
-        while True:
-            await asyncio.sleep(self.cfg.period)
-            self.beat_once(self.clock.now)
 
 
 class HeartbeatReceiver(asyncio.DatagramProtocol):

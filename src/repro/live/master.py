@@ -45,13 +45,8 @@ from repro.core.sampling import DemandSampler
 from repro.core.reservation import ReservationConfig
 from repro.core.stretch import stretch_factor
 from repro.live import protocol
-from repro.live.kernel import BusyMeter, LiveClock, calibrate
-from repro.live.loadd import (
-    LiveLoadView,
-    LoadReporter,
-    LoadTable,
-    open_heartbeat_endpoint,
-)
+from repro.live.kernel import BusyMeter, LiveClock, LoadReporter, calibrate
+from repro.live.loadd import LiveLoadView, LoadTable, open_heartbeat_endpoint
 from repro.live.node import CGIService, WorkerPool
 from repro.obs.trace import (
     ABORT,
@@ -94,7 +89,8 @@ class PeerConnection:
     records on the master's tracer and resolves the per-request futures
     the dispatching coroutines await.  A broken connection fails every
     outstanding call and marks the node dead in the load table until
-    :meth:`connect` succeeds again.
+    :meth:`connect` succeeds again, which restarts the node's heartbeat
+    probation.
     """
 
     def __init__(self, master: "MasterServer", node_id: int,
@@ -122,7 +118,10 @@ class PeerConnection:
         self.reader, self.writer = reader, writer
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(), name=f"peer-{self.node_id}")
-        self.master.table.mark_alive(self.node_id)
+        # Only a returning node restarts probation; on first contact the
+        # heartbeats a new node already sent still count.
+        if self.master.table.dead[self.node_id]:
+            self.master.table.mark_alive(self.node_id)
 
     def submit(self, request: Request) -> RemoteCall:
         """Ship one dynamic request; returns the call to await."""
@@ -340,7 +339,6 @@ class MasterServer:
                 payload, self.clock.now),
             cfg=self.monitor)
         await self._reporter.start()
-        self._reporter.beat_once(self.clock.now)
 
     async def connect_peer(self, node_id: int, host: str, port: int) -> None:
         """Open (or re-open) the persistent CGI channel to one node."""
@@ -354,15 +352,20 @@ class MasterServer:
     async def wait_healthy(self, timeout: float = 10.0) -> None:
         """Block until every node is connected, heard, and off probation."""
         deadline = self.clock.now + timeout
-        while self.clock.now < deadline:
-            if self.view.all_healthy():
+        while True:
+            unconnected = [i for i in range(self.num_nodes)
+                           if i != self.node_id and not (
+                               i in self.peers and self.peers[i].connected)]
+            if not unconnected and self.view.all_healthy():
                 return
+            if self.clock.now >= deadline:
+                break
             await asyncio.sleep(0.05)
         suspect = [i for i in range(self.num_nodes)
                    if self.view.is_suspect(i)]
         raise TimeoutError(
             f"cluster did not become healthy within {timeout}s "
-            f"(suspect nodes: {suspect}, dead: "
+            f"(unconnected nodes: {unconnected}, suspect: {suspect}, dead: "
             f"{list(map(int, self.table.dead.nonzero()[0]))})")
 
     async def stop(self) -> None:

@@ -33,8 +33,13 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional, Sequence, Tuple
 
 from repro.live import protocol
-from repro.live.kernel import BusyMeter, LiveClock, calibrate, run_cgi
-from repro.live.loadd import LoadReporter
+from repro.live.kernel import (
+    BusyMeter,
+    LiveClock,
+    LoadReporter,
+    calibrate,
+    run_cgi,
+)
 from repro.sim.config import MonitorConfig
 
 #: Startup handshake line printed by a slave process on stdout.

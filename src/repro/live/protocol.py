@@ -56,6 +56,18 @@ TCP preserves per-connection order, so a request's ``admit`` frame always
 arrives before its ``start``, and ``start`` before ``done`` — the master
 records observability spans in frame-arrival order and the stream stays
 lifecycle-consistent for ``repro trace --audit``.
+
+Heartbeat datagram
+------------------
+Load reports travel beside the frames, one UDP datagram per heartbeat
+(JSON, no length prefix; :func:`encode_heartbeat` /
+:func:`decode_heartbeat`)::
+
+    {"node": 3, "seq": 17, "cpu_idle": 0.93, "disk_avail": 0.71, "active": 2}
+
+Sequence numbers are per-node monotonic; the receiving load table drops
+reordered or replayed packets (UDP may duplicate and reorder even on
+loopback).
 """
 
 from __future__ import annotations
@@ -196,4 +208,23 @@ async def expect_hello(reader: asyncio.StreamReader) -> dict:
         raise ProtocolError("peer closed before hello")
     if msg.get("op") != "hello" or msg.get("proto") != PROTO_VERSION:
         raise ProtocolError(f"bad hello: {msg!r}")
+    return msg
+
+
+def encode_heartbeat(node_id: int, seq: int, cpu_idle: float,
+                     disk_avail: float, active: int) -> bytes:
+    return json.dumps(
+        {"node": node_id, "seq": seq, "cpu_idle": cpu_idle,
+         "disk_avail": disk_avail, "active": active},
+        separators=(",", ":")).encode("utf-8")
+
+
+def decode_heartbeat(data: bytes) -> Optional[dict]:
+    """Parse one datagram; ``None`` for garbage (UDP is unauthenticated)."""
+    try:
+        msg = json.loads(data)
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+    if not isinstance(msg, dict) or "node" not in msg or "seq" not in msg:
+        return None
     return msg

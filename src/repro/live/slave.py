@@ -1,8 +1,10 @@
 """Subprocess entry point: ``python -m repro.live.slave``.
 
-Kept separate from :mod:`repro.live.node` (which the package
-``__init__`` imports) so ``runpy`` does not re-execute an
-already-imported module when the cluster orchestrator spawns slaves.
+Kept separate from :mod:`repro.live.node` so ``runpy`` never re-executes
+a module that something already imported.  Its import path — ``repro``,
+``repro.live``, :mod:`repro.live.node` — loads neither numpy nor the
+simulator (both package ``__init__`` modules export lazily), so a slave
+process is ready a fraction of a second after it is spawned.
 """
 
 from repro.live.node import main

@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 
-from repro.live.kernel import BusyMeter, LiveClock
-from repro.live.loadd import (
-    LiveLoadView,
-    LoadReporter,
-    LoadTable,
-    decode_heartbeat,
-    encode_heartbeat,
-)
+from repro.live.kernel import BusyMeter, LiveClock, LoadReporter
+from repro.live.loadd import LiveLoadView, LoadTable
+from repro.live.protocol import decode_heartbeat, encode_heartbeat
 from repro.sim.config import MonitorConfig
 
 
@@ -132,3 +129,24 @@ def test_reporter_beat_once_delivers_locally():
     assert len(seen) == 2
     assert table.heartbeats == 2
     assert reporter.seq == 2
+
+
+def test_reporter_start_sends_first_heartbeat():
+    """The first heartbeat goes out when the reporter starts, not one
+    period later, so a new node's probation starts at once."""
+
+    async def scenario():
+        table = LoadTable(1, cfg())
+        clock = LiveClock()
+        reporter = LoadReporter(
+            0, BusyMeter(capacity=1, now=clock.now), clock,
+            local_observe=lambda payload: table.observe_datagram(
+                payload, clock.now),
+            cfg=cfg())
+        await reporter.start()
+        try:
+            return reporter.sent, table.heartbeats
+        finally:
+            await reporter.stop()
+
+    assert asyncio.run(scenario()) == (1, 1)
