@@ -46,7 +46,7 @@ import pathlib
 
 from benchmarks.conftest import FULL, emit
 from repro.analysis.experiments import run_control_drift
-from repro.testbed.noise import NoiseConfig
+from repro.workload.noise import NoiseConfig
 
 SEED = 0
 

@@ -15,10 +15,10 @@ Subpackages
     cluster assembly and metrics.
 ``repro.workload``
     Table-1 trace specs, SPECweb96 file mix, CGI demand profiles, synthetic
-    trace generation and replay helpers.
-``repro.testbed``
-    The noisy "hardware testbed" emulator standing in for the paper's
-    6-node Sun cluster (Table 3 validation).
+    trace generation, the replay entry point (every simulated run drains
+    through ``Cluster.replay``) and the noise model — background jobs and
+    demand jitter — that ``replay(..., noise=...)`` adds to stand in for
+    the paper's 6-node Sun cluster (Table 3 validation).
 ``repro.analysis``
     Experiment harnesses regenerating every table and figure.
 

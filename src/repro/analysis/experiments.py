@@ -30,11 +30,11 @@ from repro.core.queuing import Workload, best_msprime, flat_stretch
 from repro.core.stretch import improvement_percent
 from repro.core.theorem import optimal_masters
 from repro.sim.cluster import Cluster
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, testbed_sim_config
 from repro.sim.failures import CHAOS_SCENARIOS, ChaosScenario, FailurePolicy
 from repro.sim.resilience import ResilienceConfig
-from repro.testbed.emulator import TestbedConfig, replay_on_testbed
 from repro.workload.generator import generate_trace, trace_statistics
+from repro.workload.noise import BackgroundLoad, NoiseConfig
 from repro.workload.replay import pretrain_sampler, replay
 from repro.workload.request import Request
 from repro.workload.traces import ADL, EXPERIMENT_TRACES, KSU, TRACES, UCB, TraceSpec
@@ -474,7 +474,7 @@ class Table3Row:
     trace: str
     rate: float
     comparison: str       # "MS-1", "MS-ns" or "MS-nr"
-    actual: float         # improvement % on the noisy testbed emulator
+    actual: float         # improvement % on the noisy replay
     simulated: float      # improvement % on the clean simulator
 
     @property
@@ -511,12 +511,17 @@ def run_table3(
     duration: float = 60.0,
     seed: int = 31,
     comparisons: Sequence[str] = ("MS-1", "MS-ns", "MS-nr"),
-    testbed: Optional[TestbedConfig] = None,
+    noise: Optional[NoiseConfig] = None,
 ) -> Table3Result:
-    """Replay the Sun-cluster validation on both platforms."""
-    tb = testbed or TestbedConfig()
-    mu_h = tb.static_rate
-    p = tb.num_nodes
+    """Replay the Sun-cluster validation with and without ``noise``.
+
+    "Actual" replays each trace on the Sun-cluster configuration with
+    ``noise`` (default :class:`NoiseConfig`); "simu" is the same replay
+    on the clean simulator.
+    """
+    noise = noise or NoiseConfig()
+    sun = testbed_sim_config()
+    mu_h, p = sun.static_rate, sun.num_nodes
     rows: List[Table3Row] = []
     for spec in (UCB, KSU, ADL):
         m = TABLE3_MASTERS[spec.name]
@@ -525,17 +530,16 @@ def run_table3(
                                    mu_h=mu_h, r=r, seed=seed)
             sampler = pretrain_sampler(trace, seed=seed)
 
-            def run_both(policy_name: str) -> Tuple[float, float]:
-                policy_tb = make_policy(policy_name, p, m, sampler, seed + 5)
-                actual = replay_on_testbed(policy_tb, trace, tb).overall.stretch
-                policy_sim = make_policy(policy_name, p, m, sampler, seed + 5)
-                cfg = tb.sim_config()
-                simulated = replay(cfg, policy_sim, trace).report.overall.stretch
-                return actual, simulated
+            def stretch(policy_name: str,
+                        run_noise: Optional[NoiseConfig]) -> float:
+                policy = make_policy(policy_name, p, m, sampler, seed + 5)
+                return replay(testbed_sim_config(), policy, trace,
+                              noise=run_noise).report.overall.stretch
 
-            ms_actual, ms_sim = run_both("MS")
+            ms_actual, ms_sim = stretch("MS", noise), stretch("MS", None)
             for comp in comparisons:
-                other_actual, other_sim = run_both(comp)
+                other_actual = stretch(comp, noise)
+                other_sim = stretch(comp, None)
                 rows.append(Table3Row(
                     trace=spec.name, rate=rate, comparison=comp,
                     actual=improvement_percent(other_actual, ms_actual),
@@ -712,15 +716,7 @@ def run_chaos(
         if inject:
             scenario.apply(cluster, duration,
                            np.random.default_rng(seed + 17))
-        cluster.submit_many(trace)
-        deadline = duration + drain
-        cluster.run(until=deadline)
-        extensions = 0
-        while (any(node.active for node in cluster.nodes)
-               or cluster.pending_requests()) and extensions < 20:
-            deadline += drain
-            cluster.run(until=deadline)
-            extensions += 1
+        report = cluster.replay(trace, drain=drain, end=duration)
         cluster.assert_conservation()
         if tracer is not None:
             audit_spans += len(tracer)
@@ -728,7 +724,6 @@ def run_chaos(
             tracer.clear()
         avail = cluster.availability(horizon=cluster.engine.now,
                                      slo_stretch=res_cfg.slo_stretch)
-        report = cluster.metrics.report()
         static_mean = report.static.mean_response
         rows.append(ChaosRow(
             label=label,
@@ -893,7 +888,7 @@ def run_control_drift(
     dry_run: bool = False,
     audit: bool = True,
     drain: float = 30.0,
-    noise: Optional[object] = None,
+    noise: Optional[NoiseConfig] = None,
     tracer: Optional[Tracer] = None,
 ) -> ControlDriftResult:
     """The control plane's headline scenario: mid-run workload drift.
@@ -912,14 +907,13 @@ def run_control_drift(
 
     Both runs are trace-audited when ``audit`` is set (the controlled
     one including the CONTROL-span consistency invariant).  ``noise``
-    optionally attaches a :class:`repro.testbed.noise.NoiseConfig`-driven
+    optionally attaches a :class:`repro.workload.noise.NoiseConfig`-driven
     background-job confounder to *both* variants, exercising the
     estimator under un-modelled load.  ``dry_run`` arms the controller in
     shadow mode: decisions are logged but never actuated, so the two
     variants must then agree up to background-load jitter.
     """
     from repro.control import ControlConfig, SimControlLoop
-    from repro.testbed.noise import BackgroundLoad
 
     spec = TRACES[trace_name]
     r = 1.0 / inv_r
@@ -965,20 +959,12 @@ def run_control_drift(
         if noise is not None:
             bg = BackgroundLoad(cluster, noise, stop_at=total_span)
             bg.start()
-        cluster.submit_many(trace)
-        deadline = total_span + drain
-        cluster.run(until=deadline)
-        extensions = 0
-        while (any(node.active for node in cluster.nodes)
-               and extensions < 20):
-            deadline += drain
-            cluster.run(until=deadline)
-            extensions += 1
+        report = cluster.replay(trace, drain=drain, warmup=warmup,
+                                end=total_span)
         cluster.assert_conservation()
         if audit and run_tracer is not None:
             audit_cluster(cluster).raise_if_failed()
-        stretch = cluster.metrics.report(warmup=warmup).overall.stretch
-        return stretch, loop, cluster, bg
+        return report.overall.stretch, loop, cluster, bg
 
     frozen_stretch, _, _, _ = one_run(None)
     controlled_stretch, loop, cluster, bg = one_run(control, tracer)

@@ -182,7 +182,10 @@ class PeerConnection:
         finally:
             self.writer = None
             self.reader = None
-            master.table.mark_dead(self.node_id)
+            # A connection replaced by a reconnect says nothing about the
+            # node: only the installed one may mark it dead.
+            if master.peers.get(self.node_id) is self:
+                master.table.mark_dead(self.node_id)
             for call in list(self.pending.values()):
                 if not call.future.done():
                     call.future.set_exception(

@@ -16,8 +16,7 @@ from repro.analysis.experiments import (
     run_table2,
     run_table3,
 )
-from repro.testbed.emulator import TestbedConfig
-from repro.testbed.noise import NoiseConfig
+from repro.workload.noise import NoiseConfig
 
 pytestmark = pytest.mark.integration
 
@@ -84,9 +83,9 @@ class TestTableHarnesses:
         assert all(p == 4 for _, p, _, _, _ in result.rows)
 
     def test_table3_tiny(self):
-        tb = TestbedConfig(noise=NoiseConfig(bg_rate=0.5, seed=1))
+        noise = NoiseConfig(bg_rate=0.5, seed=1)
         result = run_table3(rates=(30.0,), duration=8.0,
-                            comparisons=("MS-1",), testbed=tb)
+                            comparisons=("MS-1",), noise=noise)
         assert len(result.rows) == 3  # one per trace
         assert "Table 3" in result.render()
         for row in result.rows:

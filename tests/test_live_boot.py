@@ -178,3 +178,33 @@ def test_probation_restarts_only_for_returning_nodes():
         "reconnect": True, "reconnect_one_beat": True,
         "reconnect_two_beats": False, "unconnected_suspect": False,
         "promoted": True}
+
+
+def test_reconnect_over_open_connection_keeps_node_alive():
+    """Re-opening the channel to a live slave swaps the connection: the
+    old one's reader must not mark the node dead behind the new one."""
+    monitor = MonitorConfig(period=0.2, suspect_after=30.0,
+                            probation_samples=2)
+
+    async def scenario():
+        master = MasterServer(node_id=0, num_nodes=2, workers=1,
+                              monitor=monitor)
+        pool = WorkerPool(node_id=1, workers=1, meter=BusyMeter(1))
+        service = CGIService(node_id=1, pool=pool)
+        await master.start()
+        port = await service.start()
+        table, view = master.table, master.view
+        try:
+            for seq in (1, 2):
+                table.observe(1, seq, 1.0, 1.0, 0, now=master.clock.now)
+            await master.connect_peer(1, "127.0.0.1", port)
+            old = master.peers[1]
+            await master.connect_peer(1, "127.0.0.1", port)
+            return (master.peers[1] is not old, master.peers[1].connected,
+                    bool(table.dead[1]), view.is_suspect(1))
+        finally:
+            await master.stop()
+            await service.stop()
+            pool.shutdown()
+
+    assert asyncio.run(scenario()) == (True, True, False, False)

@@ -1,18 +1,17 @@
-"""Unit tests for the Sun-cluster testbed emulator."""
+"""Unit tests for the emulated Sun-cluster testbed: the 6-node, 110 req/s
+configuration and the noise (demand jitter, background jobs) that
+``replay(..., noise=...)`` adds to it for Table 3's "actual" column."""
 
 import numpy as np
 import pytest
 
 from repro.core.policies import FlatPolicy, make_ms
 from repro.sim.cluster import Cluster
-from repro.testbed.emulator import (
-    SUN_CLUSTER_NODES,
-    SUN_ULTRA1_STATIC_RATE,
-    TestbedConfig,
-    replay_on_testbed,
-)
-from repro.testbed.noise import BackgroundLoad, NoiseConfig, jitter_demands
+# Aliased: pytest would collect a module-level ``testbed_sim_config``.
+from repro.sim.config import testbed_sim_config as sun_cluster_config
 from repro.workload.generator import generate_trace
+from repro.workload.noise import BackgroundLoad, NoiseConfig, jitter_demands
+from repro.workload.replay import replay
 from repro.workload.traces import UCB
 from tests.conftest import make_cgi, make_static
 
@@ -59,20 +58,20 @@ class TestJitter:
 
 class TestBackgroundLoad:
     def test_injects_until_stop(self):
-        tb = TestbedConfig()
-        cluster = Cluster(tb.sim_config(), FlatPolicy(tb.num_nodes, seed=1))
+        cfg = sun_cluster_config()
+        cluster = Cluster(cfg, FlatPolicy(cfg.num_nodes, seed=1))
         bg = BackgroundLoad(cluster, NoiseConfig(bg_rate=5.0, seed=2),
                             stop_at=2.0)
         bg.start()
         cluster.run(until=10.0)
         assert bg.injected > 0
         # Roughly rate * nodes * stop_at injections.
-        expected = 5.0 * tb.num_nodes * 2.0
+        expected = 5.0 * cfg.num_nodes * 2.0
         assert bg.injected == pytest.approx(expected, rel=0.5)
 
     def test_zero_rate_injects_nothing(self):
-        tb = TestbedConfig()
-        cluster = Cluster(tb.sim_config(), FlatPolicy(tb.num_nodes, seed=1))
+        cfg = sun_cluster_config()
+        cluster = Cluster(cfg, FlatPolicy(cfg.num_nodes, seed=1))
         bg = BackgroundLoad(cluster, NoiseConfig(bg_rate=0.0), stop_at=2.0)
         bg.start()
         cluster.run(until=5.0)
@@ -81,36 +80,34 @@ class TestBackgroundLoad:
 
 class TestEmulator:
     def test_paper_constants(self):
-        tb = TestbedConfig()
-        assert tb.num_nodes == SUN_CLUSTER_NODES == 6
-        assert tb.static_rate == SUN_ULTRA1_STATIC_RATE == 110.0
-        cfg = tb.sim_config()
+        cfg = sun_cluster_config()
         assert cfg.num_nodes == 6
         assert cfg.static_rate == 110.0
 
     def test_replay_runs_and_reports(self):
         trace = generate_trace(UCB, rate=30, duration=5.0, mu_h=110,
                                r=1 / 40, seed=4)
-        report = replay_on_testbed(make_ms(6, 3, seed=5), trace)
+        report = replay(sun_cluster_config(), make_ms(6, 3, seed=5), trace,
+                        noise=NoiseConfig()).report
         assert report.completed > 0
         assert report.overall.stretch >= 1.0
 
     def test_noise_degrades_vs_clean_sim(self):
         """The noisy testbed should be slower than the clean simulator on
         the same trace and policy."""
-        from repro.workload.replay import replay
-
-        tb = TestbedConfig(noise=NoiseConfig(bg_rate=6.0, bg_demand=0.08,
-                                             demand_jitter=0.0, seed=9))
+        noise = NoiseConfig(bg_rate=6.0, bg_demand=0.08, demand_jitter=0.0,
+                            seed=9)
         trace = generate_trace(UCB, rate=60, duration=5.0, mu_h=110,
                                r=1 / 40, seed=4)
-        noisy = replay_on_testbed(make_ms(6, 3, seed=5), trace, tb)
-        clean = replay(tb.sim_config(), make_ms(6, 3, seed=5), trace)
-        assert noisy.overall.stretch > clean.report.overall.stretch
+        noisy = replay(sun_cluster_config(), make_ms(6, 3, seed=5), trace,
+                       noise=noise)
+        clean = replay(sun_cluster_config(), make_ms(6, 3, seed=5), trace)
+        assert noisy.report.overall.stretch > clean.report.overall.stretch
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            replay_on_testbed(make_ms(6, 3), [])
+            replay(sun_cluster_config(), make_ms(6, 3), [],
+                   noise=NoiseConfig())
 
 
 class TestBackgroundStopBoundary:
@@ -121,8 +118,8 @@ class TestBackgroundStopBoundary:
 
     def _run(self, stop_at=2.0, bg_demand=1.5, seed=3):
         # A huge mean demand makes any unclipped draw obvious.
-        tb = TestbedConfig()
-        cluster = Cluster(tb.sim_config(), FlatPolicy(tb.num_nodes, seed=1))
+        cfg = sun_cluster_config()
+        cluster = Cluster(cfg, FlatPolicy(cfg.num_nodes, seed=1))
         bg = BackgroundLoad(
             cluster, NoiseConfig(bg_rate=4.0, bg_demand=bg_demand,
                                  seed=seed), stop_at=stop_at)
@@ -150,8 +147,8 @@ class TestBackgroundStopBoundary:
         from repro.obs import Tracer
         from repro.obs.trace import BG_ADMIT
 
-        tb = TestbedConfig()
-        cluster = Cluster(tb.sim_config(), FlatPolicy(tb.num_nodes, seed=1),
+        cfg = sun_cluster_config()
+        cluster = Cluster(cfg, FlatPolicy(cfg.num_nodes, seed=1),
                           tracer=Tracer())
         bg = BackgroundLoad(cluster, NoiseConfig(bg_rate=4.0, seed=5),
                             stop_at=1.5)
