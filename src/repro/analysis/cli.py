@@ -172,14 +172,15 @@ def _trace_summarize(path: str) -> int:
 
 
 def _trace_audit_file(path: str) -> int:
-    """``repro trace --audit FILE``: structural audit of a saved stream.
+    """``repro trace --audit FILE``: audit of a saved stream.
 
-    A saved stream has no live cluster ledger or metrics report, so this
-    checks the trace-derivable invariants (causality, lifecycle, device
-    exclusivity, reservation caps) but not the ledger cross-checks.
+    Checks the trace-derivable invariants (causality, lifecycle, device
+    exclusivity, reservation caps), plus conservation when the header
+    carries the run's ledger (``meta.conservation``, as live streams do).
     """
-    spans, _header = load_jsonl(path)
-    report = audit_spans(spans)
+    spans, header = load_jsonl(path)
+    report = audit_spans(
+        spans, conservation=(header.get("meta") or {}).get("conservation"))
     if report.ok:
         print(f"{path}: clean ({report.checked})")
         return 0
@@ -524,9 +525,11 @@ def _control_live(args: argparse.Namespace, cfg) -> int:
                 await loop.stop()
             spans = (list(cluster.master.tracer.spans)
                      if cluster.master.tracer is not None else [])
-            return result, spans, loop.controller
+            return (result, spans, loop.controller,
+                    cluster.master.conservation(),
+                    cluster.master.metrics.report())
 
-    result, spans, controller = asyncio.run(_run())
+    result, spans, controller, ledger, metrics = asyncio.run(_run())
     rows = [[k, f"{v:.4f}" if isinstance(v, float) else v]
             for k, v in result.summary().items()]
     rows += [["control ticks", controller.ticks],
@@ -538,12 +541,12 @@ def _control_live(args: argparse.Namespace, cfg) -> int:
     for action in controller.applied:
         print(f"  applied: {action.kind} node={action.node_id} "
               f"value={action.value} ({action.reason})")
-    report = audit_spans(spans)
+    report = audit_spans(spans, conservation=ledger, metrics_report=metrics)
     if args.spans:
         save_jsonl(spans, args.spans, meta={
             "mode": "control-live", "trace": args.trace,
             "slaves": args.slaves, "dry_run": args.dry_run,
-            "audit_ok": report.ok,
+            "audit_ok": report.ok, "conservation": ledger,
         })
         print(f"wrote live span stream to {args.spans}")
     if not report.ok:

@@ -52,6 +52,7 @@ from repro.control.log import ControlLog
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.live.master import MasterServer
     from repro.sim.cluster import Cluster
+    from repro.sim.metrics import MetricsCollector
 
 __all__ = ["SimAdapter", "SimControlLoop", "LiveAdapter", "LiveControlLoop"]
 
@@ -76,15 +77,33 @@ def _apply_tuning(policy, action: ControlAction) -> bool:
     return False
 
 
+class _LedgerFeed:
+    """The estimator feed both adapters share: every request-ledger row
+    recorded since the last poll, as ``(kind, cpu, io)``."""
+
+    ledger: "MetricsCollector"
+    _ingested = 0
+
+    def poll(self, estimator: WorkloadEstimator) -> int:
+        """Feed completions recorded since the last tick."""
+        ledger = self.ledger
+        kinds, cpus, ios = ledger.kinds, ledger.cpu_demands, ledger.io_demands
+        start, end = self._ingested, len(kinds)
+        for i in range(start, end):
+            estimator.observe(kinds[i], cpus[i], ios[i])
+        self._ingested = end
+        return end - start
+
+
 # -- simulator substrate ------------------------------------------------------
 
 
-class SimAdapter:
+class SimAdapter(_LedgerFeed):
     """Control-plane view of a running simulated cluster."""
 
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self._ingested = 0
+        self.ledger = cluster.metrics
 
     # -- observation -----------------------------------------------------------
 
@@ -98,17 +117,6 @@ class SimAdapter:
 
     def master_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.cluster.policy.master_ids))
-
-    def poll(self, estimator: WorkloadEstimator) -> int:
-        """Feed completions recorded since the last tick."""
-        m = self.cluster.metrics
-        kinds, demands, cpus = m.kinds, m.demands, m.cpu_demands
-        start, end = self._ingested, len(kinds)
-        for i in range(start, end):
-            cpu = cpus[i]
-            estimator.observe(kinds[i], cpu, demands[i] - cpu)
-        self._ingested = end
-        return end - start
 
     def theta_cap(self) -> float:
         res = self.cluster.policy.reservation
@@ -216,12 +224,12 @@ class SimControlLoop:
 # -- live substrate -----------------------------------------------------------
 
 
-class LiveAdapter:
+class LiveAdapter(_LedgerFeed):
     """Control-plane view of the live master (PR-4 substrate)."""
 
     def __init__(self, master: "MasterServer") -> None:
         self.master = master
-        self._ingested = 0
+        self.ledger = master.metrics
         self._role_seq = 0
 
     @property
@@ -234,16 +242,6 @@ class LiveAdapter:
 
     def master_ids(self) -> Tuple[int, ...]:
         return tuple(sorted(self.master.policy.master_ids))
-
-    def poll(self, estimator: WorkloadEstimator) -> int:
-        metrics = self.master.metrics
-        records, splits = metrics.records, metrics.splits
-        start, end = self._ingested, len(records)
-        for i in range(start, end):
-            cpu, io = splits[i]
-            estimator.observe(records[i][1], cpu, io)
-        self._ingested = end
-        return end - start
 
     def theta_cap(self) -> float:
         res = self.master.policy.reservation

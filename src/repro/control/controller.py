@@ -101,7 +101,8 @@ class ControlAdapter(Protocol):
     Implementations: :class:`repro.control.actuator.SimAdapter` (mutates
     a running :class:`~repro.sim.cluster.Cluster`) and
     :class:`repro.control.actuator.LiveAdapter` (drives the PR-4 wire
-    protocol from the live master).
+    protocol from the live master).  Both share one :meth:`poll`: it feeds
+    the estimator the request-ledger rows recorded since the last poll.
     """
 
     @property

@@ -82,9 +82,9 @@ class WorkloadEstimate:
 class WorkloadEstimator:
     """EWMA estimator of the Theorem-1 workload from completed requests.
 
-    Feed completions with :meth:`observe` (any substrate: the sim
-    adapter polls ``MetricsCollector``, the live adapter polls the
-    master's ``LiveMetrics``), then :meth:`fold` once per control tick.
+    Feed completions with :meth:`observe` (both substrates' adapters poll
+    their one request ledger, ``MetricsCollector``, for each row's kind and
+    ``(cpu, io)`` split), then :meth:`fold` once per control tick.
 
     >>> est = WorkloadEstimator(EstimatorConfig(min_class_samples=2,
     ...                                         warm_windows=1))

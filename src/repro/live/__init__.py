@@ -36,7 +36,7 @@ _EXPORTS = {
         "BusyMeter", "LiveClock", "LoadReporter", "burn_cpu", "calibrate"),
     "repro.live.loadd": ("LiveLoadView", "LoadTable"),
     "repro.live.loadgen": ("LoadGenResult", "run_loadgen"),
-    "repro.live.master": ("LiveMetrics", "MasterServer", "PeerConnection"),
+    "repro.live.master": ("MasterServer", "PeerConnection"),
     "repro.live.node": ("CGIService", "WorkerPool", "run_slave"),
     "repro.live.validate": ("TOLERANCE", "ValidationResult", "validate"),
 }

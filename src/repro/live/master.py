@@ -28,9 +28,16 @@ recorded when the peer's frames arrive; TCP ordering guarantees they
 precede the ``done`` that resolves the awaiting handler.  Failure paths
 mirror the simulator: a request refused before admission records
 ``deny`` + ``drop``; one abandoned after admission (peer death, timeout)
-records ``abort`` + ``drop`` and unwinds the policy's in-flight
+records ``abort`` + ``drop``; both unwind the policy's in-flight
 bookkeeping through :meth:`~repro.core.policies.Policy.on_abort` without
-feeding the response-time estimators.
+feeding the response-time estimators.  A cancelled handler (client gone,
+shutdown) ends the same way before the cancellation propagates.
+
+Outcomes land on the simulator's request ledger
+(:class:`~repro.sim.metrics.MetricsCollector`): completions as rows with
+the measured ``(cpu, io)`` split, drops under ``denied`` and ``aborted``.
+A row's arrival and finish are the clock reads of its ``arrive`` and
+``complete`` spans, so the auditor's stretch cross-check holds on live.
 """
 
 from __future__ import annotations
@@ -43,7 +50,6 @@ from urllib.parse import parse_qs, urlsplit
 from repro.core.policies import FrontEndMSPolicy, Route
 from repro.core.sampling import DemandSampler
 from repro.core.reservation import ReservationConfig
-from repro.core.stretch import stretch_factor
 from repro.live import protocol
 from repro.live.kernel import BusyMeter, LiveClock, LoadReporter, calibrate
 from repro.live.loadd import LiveLoadView, LoadTable, open_heartbeat_endpoint
@@ -62,6 +68,7 @@ from repro.obs.trace import (
     iter_jsonl,
 )
 from repro.sim.config import MonitorConfig
+from repro.sim.metrics import MetricsCollector
 from repro.workload.request import Request, RequestKind
 
 
@@ -210,63 +217,6 @@ class PeerConnection:
                 pass
 
 
-class LiveMetrics:
-    """Per-request accounting mirroring the simulator's collector."""
-
-    def __init__(self) -> None:
-        #: (req_id, kind, response, demand, remote, on_master)
-        self.records: List[Tuple[int, int, float, float, bool, bool]] = []
-        #: Measured (cpu, io) seconds per record, same indexing as
-        #: :attr:`records`; the control plane's workload estimator reads
-        #: the CPU/disk split from here.
-        self.splits: List[Tuple[float, float]] = []
-        self.denied = 0
-        self.aborted = 0
-
-    def observe(self, request: Request, response: float,
-                remote: bool, on_master: bool,
-                cpu: float = 0.0, io: float = 0.0) -> None:
-        self.records.append((request.req_id, int(request.kind), response,
-                             request.demand, remote, on_master))
-        if cpu <= 0.0 and io <= 0.0:
-            # No measurement reported: fall back to the request's nominal
-            # demand split so estimator ratios stay meaningful.
-            cpu, io = request.cpu_demand, request.io_demand
-        self.splits.append((cpu, io))
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def report(self) -> dict:
-        """Counts, mean response, and stretch overall and per class."""
-        out: dict = {
-            "count": len(self.records),
-            "denied": self.denied,
-            "aborted": self.aborted,
-            "remote": sum(1 for r in self.records if r[4]),
-            "dynamic_on_master": sum(
-                1 for r in self.records
-                if r[1] == int(RequestKind.DYNAMIC) and r[5]),
-        }
-        for label, kind in (("overall", None),
-                            ("static", int(RequestKind.STATIC)),
-                            ("dynamic", int(RequestKind.DYNAMIC))):
-            sel = [r for r in self.records
-                   if kind is None or r[1] == kind]
-            if sel:
-                resp = [r[2] for r in sel]
-                dem = [r[3] for r in sel]
-                out[label] = {
-                    "count": len(sel),
-                    "mean_response": sum(resp) / len(sel),
-                    "stretch": stretch_factor(resp, dem),
-                }
-            else:
-                out[label] = {"count": 0, "mean_response": 0.0,
-                              "stretch": 0.0}
-        return out
-
-
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
                  503: "Service Unavailable"}
 
@@ -307,10 +257,10 @@ class MasterServer:
         self.pool = WorkerPool(node_id, workers, self.meter)
         self.cgi_service = CGIService(node_id, self.pool, host=host)
         self.peers: Dict[int, PeerConnection] = {}
-        self.metrics = LiveMetrics()
-        self.arrived = 0
-        self.completed = 0
-        self.dropped = 0
+        #: The request ledger (the simulator's collector, reused).
+        self.metrics = MetricsCollector()
+        #: ``serve_request`` calls still running.
+        self._serving = 0
         #: (node_id, role) pairs for acknowledged control-plane ROLE frames.
         self.role_acks: List[Tuple[int, str]] = []
         self.http_connections = 0
@@ -391,9 +341,13 @@ class MasterServer:
     # -- span + ledger helpers --------------------------------------------
 
     def _record(self, kind: str, req_id: int, node_id: int,
-                data: Optional[tuple] = None) -> None:
+                data: Optional[tuple] = None,
+                t: Optional[float] = None) -> None:
+        """Append one span, stamped ``t`` when the caller already read the
+        clock for the ledger, else now."""
         if self.tracer is not None:
-            self.tracer.record(kind, req_id, node_id, data)
+            self.tracer.spans.append((self.clock.now if t is None else t,
+                                      kind, req_id, node_id, data))
 
     def _on_role_ack(self, node_id: int, msg: dict) -> None:
         """A node acknowledged a control-plane ROLE frame."""
@@ -403,25 +357,35 @@ class MasterServer:
                       int(msg.get("seq", 0))))
 
     def conservation(self) -> Dict[str, int]:
-        """The live ledger, in the simulator's shape (for ``audit_spans``)."""
-        in_flight = self.arrived - self.completed - self.dropped
-        return {
-            "submitted": self.arrived,
-            "completed": self.completed,
-            "dropped": self.dropped,
-            "lost": 0,
-            "in_flight": in_flight,
-            "pending": 0,
-            "balance": 0,
-        }
+        """The ledger's balance (for ``audit_spans``): running handlers are
+        ``in_flight``, nothing is ever pending, so a request that left
+        :meth:`serve_request` without a terminal span unbalances it."""
+        return self.metrics.conservation(self._serving, 0)
 
     def stats(self) -> dict:
         res = self.policy.reservation
+        rep = self.metrics.report()
+        drops = self.metrics.drops
+        metrics: dict = {
+            "count": rep.completed,
+            "denied": drops.get("denied", 0),
+            "aborted": drops.get("aborted", 0),
+            "remote": rep.remote_dispatches,
+            "dynamic_on_master": rep.master_dynamic,
+        }
+        for label, cls in (("overall", rep.overall), ("static", rep.static),
+                           ("dynamic", rep.dynamic)):
+            # JSON has no NaN: an empty class reads 0.
+            metrics[label] = {
+                "count": cls.count,
+                "mean_response": cls.mean_response if cls.count else 0.0,
+                "stretch": cls.stretch if cls.count else 0.0,
+            }
         return {
             "node": self.node_id,
             "now": self.clock.now,
             "conservation": self.conservation(),
-            "metrics": self.metrics.report(),
+            "metrics": metrics,
             "spans": len(self.tracer.spans) if self.tracer else 0,
             "heartbeats": self.table.heartbeats,
             "heartbeats_rejected": self.table.rejected,
@@ -446,37 +410,42 @@ class MasterServer:
         """Accept, schedule, and execute one request; returns the result
         payload (also usable directly, without HTTP, from tests)."""
         t_arrive = self.clock.now
-        self.arrived += 1
-        self._record(ARRIVE, request.req_id, -1,
-                     (int(request.kind), request.demand))
-        self.policy.last_decision = None
+        self.metrics.submitted += 1
+        self._serving += 1
         try:
-            route = self.policy.route(request, self.view)
-        except RuntimeError as exc:
-            return self._deny(request, -1, f"no-route: {exc}")
-        node = route.node_id
-        self._record(
-            DISPATCH, request.req_id, node,
-            (route.remote, self.policy.is_master(node))
-            + (self.policy.last_decision or (None,) * 5))
-        if node == self.node_id:
-            return await self._execute_local(request, route, t_arrive)
-        return await self._execute_remote(request, route, t_arrive)
+            self._record(ARRIVE, request.req_id, -1,
+                         (int(request.kind), request.demand), t_arrive)
+            self.policy.last_decision = None
+            try:
+                route = self.policy.route(request, self.view)
+            except RuntimeError as exc:
+                return self._deny(request, -1, f"no-route: {exc}")
+            node = route.node_id
+            self._record(
+                DISPATCH, request.req_id, node,
+                (route.remote, self.policy.is_master(node))
+                + (self.policy.last_decision or (None,) * 5))
+            if node == self.node_id:
+                return await self._execute_local(request, route, t_arrive)
+            return await self._execute_remote(request, route, t_arrive)
+        finally:
+            self._serving -= 1
 
     def _deny(self, request: Request, node: int, reason: str) -> dict:
-        """Pre-admission refusal: ``deny`` then ``drop`` (simulator idiom)."""
+        """Pre-admission refusal: ``deny`` then ``drop`` (simulator idiom);
+        a request already routed to ``node`` is unwound from the policy."""
         self._record(DENY, request.req_id, node, (reason,))
         self._record(DROP, request.req_id, node, (reason,))
-        self.dropped += 1
-        self.metrics.denied += 1
+        self.metrics.drop("denied")
+        if node >= 0:
+            self.policy.on_abort(request, node)
         return {"status": "denied", "id": request.req_id, "reason": reason}
 
     def _abort(self, request: Request, node: int, reason: str) -> dict:
         """Post-admission failure: ``abort`` + ``drop``, policy unwound."""
         self._record(ABORT, request.req_id, node, (reason,))
         self._record(DROP, request.req_id, node, (reason,))
-        self.dropped += 1
-        self.metrics.aborted += 1
+        self.metrics.drop("aborted")
         self.policy.on_abort(request, node)
         return {"status": "aborted", "id": request.req_id, "reason": reason}
 
@@ -489,8 +458,12 @@ class MasterServer:
         def on_start() -> None:
             self._record(START, request.req_id, node, (1,))
 
-        cpu_used, io_used = await self.pool.run(
-            request.cpu_demand, request.io_demand, on_start=on_start)
+        try:
+            cpu_used, io_used = await self.pool.run(
+                request.cpu_demand, request.io_demand, on_start=on_start)
+        except asyncio.CancelledError:
+            self._abort(request, node, "cancelled")
+            raise
         return self._complete(request, route, t_arrive, cpu_used, io_used)
 
     async def _execute_remote(self, request: Request, route: Route,
@@ -498,37 +471,43 @@ class MasterServer:
         node = route.node_id
         peer = self.peers.get(node)
         if peer is None or not peer.connected:
-            self.policy.on_abort(request, node)   # unwind _dispatched_w
             return self._deny(request, node, "peer-unavailable")
         try:
             call = peer.submit(request)
         except PeerError:
-            self.policy.on_abort(request, node)
             return self._deny(request, node, "peer-unavailable")
         try:
             cpu_used, io_used = await asyncio.wait_for(
                 call.future, timeout=self.request_timeout)
+        except asyncio.CancelledError:
+            self._fail_remote(request, peer, call, "cancelled")
+            raise
         except (PeerError, asyncio.TimeoutError) as exc:
-            peer.forget(request.req_id)
             reason = ("timeout" if isinstance(exc, asyncio.TimeoutError)
                       else str(exc))
-            if call.admitted or call.started:
-                return self._abort(request, node, reason)
-            self.policy.on_abort(request, node)
-            return self._deny(request, node, reason)
+            return self._fail_remote(request, peer, call, reason)
         return self._complete(request, route, t_arrive, cpu_used, io_used)
+
+    def _fail_remote(self, request: Request, peer: PeerConnection,
+                     call: RemoteCall, reason: str) -> dict:
+        """A remote call ended without ``done``: late frames are ignored,
+        and the request is aborted if the peer admitted it, else denied."""
+        peer.forget(request.req_id)
+        if call.admitted or call.started:
+            return self._abort(request, peer.node_id, reason)
+        return self._deny(request, peer.node_id, reason)
 
     def _complete(self, request: Request, route: Route, t_arrive: float,
                   cpu_used: float, io_used: float) -> dict:
         node = route.node_id
         on_master = self.policy.is_master(node)
+        t_finish = self.clock.now
         self._record(COMPLETE, request.req_id, node,
-                     (request.demand, route.remote, on_master))
-        response = self.clock.now - t_arrive
-        self.completed += 1
+                     (request.demand, route.remote, on_master), t_finish)
+        response = t_finish - t_arrive
         self.policy.on_complete(request, response, on_master, node)
-        self.metrics.observe(request, response, route.remote, on_master,
-                             cpu=cpu_used, io=io_used)
+        self.metrics.record(request, t_arrive, t_finish, node, route.remote,
+                            on_master, cpu_used, io_used)
         return {
             "status": "ok", "id": request.req_id, "node": node,
             "remote": route.remote, "on_master": on_master,

@@ -156,7 +156,6 @@ class Cluster:
         #: fresh bound-method object per event.
         self._arrive_cb = self._arrive
         self._admit_cb = self._admit
-        self.submitted = 0
         self.background_completed = 0
         self.failure_policy = failure_policy or FailurePolicy()
         self.failure_policy.validate()
@@ -171,9 +170,6 @@ class Cluster:
         self._draining: set[int] = set()
         self.restarted_requests = 0
         self.denied_attempts = 0
-        #: Foreground requests lost outright (crash without restart and
-        #: without a resilience layer to account the drop).
-        self.lost_requests = 0
         #: Per-node accumulated out-of-service time (availability metrics).
         self.downtime = np.zeros(cfg.num_nodes)
         self._down_since: Dict[int, float] = {}
@@ -197,7 +193,7 @@ class Cluster:
     def submit(self, request: Request) -> None:
         """Schedule one request's arrival."""
         self.engine.call_at(request.arrival_time, self._arrive_cb, request)
-        self.submitted += 1
+        self.metrics.submitted += 1
 
     def submit_many(self, requests: Iterable[Request]) -> int:
         """Schedule a whole trace.  Returns the number of requests queued.
@@ -209,7 +205,7 @@ class Cluster:
         arrive = self._arrive_cb
         n = self.engine.call_at_many(
             (req.arrival_time, arrive, (req,)) for req in requests)
-        self.submitted += n
+        self.metrics.submitted += n
         return n
 
     # -- arrival / completion ---------------------------------------------------
@@ -353,7 +349,7 @@ class Cluster:
                                        self._arrive_cb, request)
                 restarted += 1
             else:
-                self.lost_requests += 1
+                self.metrics.lost += 1
                 if tr is not None:
                     tr.record(LOST, request.req_id, node_id)
         self.restarted_requests += restarted
@@ -442,8 +438,11 @@ class Cluster:
             # the metrics collector records.
             self.tracer.record(COMPLETE, req_id, node_id,
                                (request.demand, route.remote, on_master))
-        self.metrics.record(proc, route.remote, on_master)
-        response = proc.finish_time - request.arrival_time
+        arrival = request.arrival_time
+        finish = proc.finish_time
+        self.metrics.record(request, arrival, finish, node_id, route.remote,
+                            on_master)
+        response = finish - arrival
         if self.resilience is not None:
             self.resilience.on_complete(request, response)
         policy.on_complete(request, response, on_master, node_id)
@@ -508,28 +507,11 @@ class Cluster:
         return sum(1 for _, fn in self.engine.iter_pending() if fn in fns)
 
     def conservation(self) -> Dict[str, int]:
-        """Account for every submitted request (the no-loss invariant).
-
-        ``balance`` is ``submitted - completed - dropped - lost - in_flight
-        - pending`` and must be zero at any virtual time: a request is
-        either done, accounted as failed, on a node, or in an event that
-        will deliver it.
-        """
-        mgr = self.resilience
-        completed = len(self.metrics)
-        dropped = mgr.total_dropped if mgr is not None else 0
-        in_flight = len(self._routes)
-        pending = self.pending_requests()
-        return {
-            "submitted": self.submitted,
-            "completed": completed,
-            "dropped": dropped,
-            "lost": self.lost_requests,
-            "in_flight": in_flight,
-            "pending": pending,
-            "balance": (self.submitted - completed - dropped
-                        - self.lost_requests - in_flight - pending),
-        }
+        """The request ledger's balance (the no-loss invariant), with the
+        requests on nodes as ``in_flight`` and those still in the event
+        queue as ``pending``; see :meth:`MetricsCollector.conservation`."""
+        return self.metrics.conservation(len(self._routes),
+                                         self.pending_requests())
 
     def assert_conservation(self) -> None:
         """Raise ``AssertionError`` if any request is unaccounted for."""

@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from repro.sim.process import SimProcess
-from repro.workload.request import RequestKind
+from repro.workload.request import Request, RequestKind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.cluster import Cluster
@@ -64,7 +63,10 @@ class MetricsReport:
 
 
 class MetricsCollector:
-    """Accumulates per-request samples during a replay.
+    """The request ledger of both substrates: one row per completed
+    request plus the count of every other outcome.  The simulated
+    :class:`~repro.sim.cluster.Cluster` and the live
+    :class:`~repro.live.master.MasterServer` both record here.
 
     The record path is append-only Python lists (cheapest possible per
     completion); conversion to numpy happens lazily in :meth:`snapshot`,
@@ -73,41 +75,79 @@ class MetricsCollector:
     cached conversion instead of re-materialising the arrays per call.
     """
 
-    __slots__ = ("arrivals", "finishes", "demands", "cpu_demands", "kinds",
-                 "nodes", "remotes", "on_master", "remote_dispatches",
+    __slots__ = ("arrivals", "finishes", "demands", "cpu_demands",
+                 "io_demands", "kinds", "nodes", "remotes", "on_master",
+                 "remote_dispatches", "submitted", "drops", "lost",
                  "_snapshot", "_snapshot_len")
 
     def __init__(self) -> None:
         self.arrivals: List[float] = []
         self.finishes: List[float] = []
+        #: Nominal demand of each request: the stretch denominator.
         self.demands: List[float] = []
-        #: CPU share of each demand (io = demand - cpu); the control
-        #: plane's workload estimator derives the RSRC weight ``w`` from
-        #: this split.  Not part of :meth:`snapshot` — reports don't use
-        #: it.
+        #: ``(cpu, io)`` split of each demand, nominal on the simulator and
+        #: measured on live: the workload estimator's input, not part of
+        #: :meth:`snapshot`.
         self.cpu_demands: List[float] = []
+        self.io_demands: List[float] = []
         self.kinds: List[int] = []
         self.nodes: List[int] = []
         self.remotes: List[bool] = []
         self.on_master: List[bool] = []
         self.remote_dispatches = 0
+        #: Requests accepted into the run (completed or not).
+        self.submitted = 0
+        #: Terminal failures by reason (see :meth:`drop`).
+        self.drops: Dict[str, int] = {}
+        #: Requests lost outright (crash, no restart, no resilience layer).
+        self.lost = 0
         self._snapshot: Optional[tuple] = None
         self._snapshot_len = -1
 
-    def record(self, proc: SimProcess, remote: bool, on_master: bool) -> None:
-        """Append one completed request's sample."""
-        req = proc.request
-        cpu = req.cpu_demand
-        self.arrivals.append(req.arrival_time)
-        self.finishes.append(proc.finish_time)
-        self.demands.append(cpu + req.io_demand)  # Request.demand, inlined
+    def record(self, req: Request, arrival: float, finish: float, node: int,
+               remote: bool, on_master: bool,
+               cpu: float = 0.0, io: float = 0.0) -> None:
+        """Append one completed request's row.  Stretch divides by the
+        nominal demand; ``cpu``/``io`` is the measured split, the nominal
+        one when nothing was measured (both zero)."""
+        nominal_cpu = req.cpu_demand
+        nominal_io = req.io_demand
+        if cpu <= 0.0 and io <= 0.0:
+            cpu, io = nominal_cpu, nominal_io
+        self.arrivals.append(arrival)
+        self.finishes.append(finish)
+        self.demands.append(nominal_cpu + nominal_io)  # Request.demand
         self.cpu_demands.append(cpu)
+        self.io_demands.append(io)
         self.kinds.append(int(req.kind))
-        self.nodes.append(proc.node_id)
+        self.nodes.append(node)
         self.remotes.append(remote)
         self.on_master.append(on_master)
         if remote:
             self.remote_dispatches += 1
+
+    def drop(self, reason: str) -> None:
+        """Count one request that failed for good, under ``reason``."""
+        self.drops[reason] = self.drops.get(reason, 0) + 1
+
+    @property
+    def total_dropped(self) -> int:
+        return sum(self.drops.values())
+
+    def conservation(self, in_flight: int, pending: int) -> Dict[str, int]:
+        """Account for every submitted request (the no-loss invariant).
+
+        The substrate passes the requests it holds: ``in_flight`` (on a
+        node, or in a live handler) and ``pending`` (in an event that will
+        deliver it).  ``balance`` must be zero whenever it is read: a
+        request is done, dropped, lost, held, or pending.
+        """
+        completed, dropped = len(self.arrivals), self.total_dropped
+        return {"submitted": self.submitted, "completed": completed,
+                "dropped": dropped, "lost": self.lost,
+                "in_flight": in_flight, "pending": pending,
+                "balance": (self.submitted - completed - dropped - self.lost
+                            - in_flight - pending)}
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -190,9 +230,9 @@ class AvailabilityReport:
     Unlike :class:`MetricsReport` (response-time quality of *completed*
     requests), this accounts for the requests that did **not** complete:
     drops by reason, retries, SLO violations, and how much of the horizon
-    each node spent out of service.  It is built from the cluster's own
-    counters, so it works identically for seed-behaviour clusters and
-    clusters running the resilience layer.
+    each node spent out of service.  It is built from the cluster's request
+    ledger and counters, so it works identically for seed-behaviour
+    clusters and clusters running the resilience layer.
     """
 
     horizon: float
@@ -253,10 +293,10 @@ class AvailabilityReport:
         mgr = cluster.resilience
         return AvailabilityReport(
             horizon=horizon,
-            submitted=cluster.submitted,
+            submitted=col.submitted,
             completed=len(col),
-            dropped=dict(mgr.drops) if mgr is not None else {},
-            lost=cluster.lost_requests,
+            dropped=dict(col.drops),
+            lost=col.lost,
             retries=mgr.retries if mgr is not None else 0,
             timeouts=mgr.timeouts if mgr is not None else 0,
             good=good,

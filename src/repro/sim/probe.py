@@ -33,9 +33,10 @@ _CLUSTER_NODE_METRICS = {
     "suspect": lambda cluster, i: float(cluster.monitor.suspect[i]),
 }
 
-#: Cluster-wide resilience counters (0 when no resilience layer is armed).
+#: Cluster-wide resilience counters, 0 when no resilience layer is armed
+#: (drops are read off the request ledger; only the manager drops).
 _RESILIENCE_METRICS = {
-    "dropped": lambda mgr: mgr.total_dropped,
+    "dropped": lambda mgr: mgr.cluster.metrics.total_dropped,
     "retries": lambda mgr: mgr.retries,
     "timeouts": lambda mgr: mgr.timeouts,
     "shed_level": lambda mgr: mgr.shed_level,

@@ -17,8 +17,10 @@ a crash.  This module closes the remaining gaps on the request path:
   outright.  Static service degrades gracefully instead of collapsing.
 * **Accounting.**  Every drop is attributed to a reason (``timeout``,
   ``crash``, ``dead_node``, ``no_capacity``, ``shed``), retries and SLO
-  violations are counted, and :meth:`repro.sim.cluster.Cluster.conservation`
-  can prove that no request was lost.
+  violations are counted, and drops land on the cluster's request ledger
+  (:class:`~repro.sim.metrics.MetricsCollector`), whose
+  :meth:`~repro.sim.cluster.Cluster.conservation` can prove that no
+  request was lost.
 
 The manager is opt-in: a :class:`~repro.sim.cluster.Cluster` built without a
 :class:`ResilienceConfig` behaves exactly like the seed simulator.
@@ -38,7 +40,7 @@ from repro.workload.request import Request
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.cluster import Cluster
 
-#: Drop reasons the manager may report (keys of ``drops``).
+#: Drop reasons the manager may record (keys of the ledger's ``drops``).
 DROP_REASONS = ("timeout", "crash", "dead_node", "no_capacity", "shed")
 
 
@@ -120,10 +122,9 @@ class ResilienceManager:
     """
 
     __slots__ = ("cluster", "cfg", "rng", "attempts", "_deadline_ev",
-                 "_retry_ev", "drops", "retries", "timeouts", "completions",
-                 "slo_violations", "shed_level", "shed_transitions",
-                 "_shed_armed", "_stretch_ewma", "_dyn_completions",
-                 "_dyn_seen_at_tick", "_tracer")
+                 "_retry_ev", "retries", "timeouts", "shed_level",
+                 "shed_transitions", "_shed_armed", "_stretch_ewma",
+                 "_dyn_completions", "_dyn_seen_at_tick", "_tracer")
 
     def __init__(self, cluster: "Cluster", cfg: ResilienceConfig):
         cfg.validate()
@@ -134,11 +135,8 @@ class ResilienceManager:
         self.attempts: Dict[int, int] = {}
         self._deadline_ev: Dict[int, Event] = {}
         self._retry_ev: Dict[int, Event] = {}
-        self.drops: Dict[str, int] = {}
         self.retries = 0
         self.timeouts = 0
-        self.completions = 0
-        self.slo_violations = 0
         #: 0 = normal, 1 = reservation cap forced to zero, 2 = shedding new
         #: dynamic admissions.
         self.shed_level = 0
@@ -173,14 +171,12 @@ class ResilienceManager:
             deadline, self._on_deadline, request)
 
     def on_complete(self, request: Request, response_time: float) -> None:
-        """Completion: disarm timers and account the SLO outcome."""
+        """Completion: disarm timers and feed the overload controller
+        (SLO outcomes are read off the cluster's request ledger)."""
         self._disarm(request.req_id)
         self.attempts.pop(request.req_id, None)
-        self.completions += 1
-        stretch = response_time / request.demand
-        if stretch > self.cfg.slo_stretch:
-            self.slo_violations += 1
         if request.is_dynamic:
+            stretch = response_time / request.demand
             self._dyn_completions += 1
             prev = self._stretch_ewma
             self._stretch_ewma = (stretch if prev is None
@@ -247,16 +243,12 @@ class ResilienceManager:
             ev.cancel()
 
     def _drop(self, request: Request, reason: str) -> None:
-        """Count a failed request (terminal)."""
+        """Count a failed request (terminal) on the cluster's ledger."""
         self._disarm(request.req_id)
         self.attempts.pop(request.req_id, None)
-        self.drops[reason] = self.drops.get(reason, 0) + 1
+        self.cluster.metrics.drop(reason)
         if self._tracer is not None:
             self._tracer.record(DROP, request.req_id, -1, (reason,))
-
-    @property
-    def total_dropped(self) -> int:
-        return sum(self.drops.values())
 
     # -- overload controller ---------------------------------------------------
 

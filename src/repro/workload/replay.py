@@ -132,7 +132,7 @@ def replay(
         end=last)
     if report.completed == 0:
         raise RuntimeError(
-            f"no requests completed out of {cluster.submitted}; "
+            f"no requests completed out of {cluster.metrics.submitted}; "
             "cluster hopelessly overloaded?")
     if audit:
         audit_cluster(cluster).raise_if_failed()

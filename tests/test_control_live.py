@@ -101,7 +101,8 @@ def test_live_control_loop_on_in_process_master():
     tags = {s[4][0] for s in control}
     assert "attach" in tags and "roles" in tags
     report = audit_spans(master.tracer.spans,
-                         conservation=master.conservation())
+                         conservation=master.conservation(),
+                         metrics_report=master.metrics.report())
     assert report.ok, report.render()
 
 
@@ -123,12 +124,14 @@ def test_loopback_cluster_with_controller():
             finally:
                 await loop.stop()
             ledger = cluster.master.conservation()
-            return (cluster.master, result, loop.controller, ledger)
+            return (cluster.master, result, loop.controller, ledger,
+                    cluster.master.metrics.report())
 
-    master, result, controller, ledger = asyncio.run(scenario())
+    master, result, controller, ledger, metrics = asyncio.run(scenario())
     assert result.errors == 0
     assert result.ok == len(trace)
     assert controller.ticks > 0
     assert ledger["in_flight"] == 0
-    report = audit_spans(master.tracer.spans, conservation=ledger)
+    report = audit_spans(master.tracer.spans, conservation=ledger,
+                         metrics_report=metrics)
     assert report.ok, report.render()

@@ -10,14 +10,17 @@ invariant.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.live.cluster import LiveCluster, LiveClusterConfig
 from repro.live.loadgen import run_loadgen
 from repro.live.master import MasterServer
 from repro.live.validate import make_validation_trace
 from repro.obs.audit import audit_spans
+from repro.obs.trace import ABORT, DROP, START
 
 from tests.conftest import make_cgi, make_static
 
@@ -46,8 +49,75 @@ def test_single_node_master_serves_in_process():
     assert all(r["node"] == 0 and not r["remote"] for r in results)
     ledger = master.conservation()
     assert ledger["completed"] == 6 and ledger["in_flight"] == 0
-    report = audit_spans(master.tracer.spans, conservation=ledger)
+    report = audit_spans(master.tracer.spans, conservation=ledger,
+                         metrics_report=master.metrics.report())
     assert report.ok, report.render()
+    assert report.checked["stretch_samples"] == 6
+
+
+def test_cancelled_request_is_aborted_and_unwound():
+    """Cancelling serve_request mid-CGI ends the request aborted: the
+    ledger balances with nothing in flight, the policy forgets the
+    request's in-flight work, and the span stream still audits."""
+
+    async def scenario():
+        master = MasterServer(node_id=0, num_nodes=1, workers=2)
+        await master.start()
+        try:
+            task = asyncio.get_running_loop().create_task(
+                master.serve_request(make_cgi(req_id=1, cpu=0.0, io=0.5)))
+            while not any(span[1] == START for span in master.tracer.spans):
+                await asyncio.sleep(0.01)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+        finally:
+            await master.stop()
+        return master
+
+    master = asyncio.run(scenario())
+    assert [span[1] for span in master.tracer.spans[-2:]] == [ABORT, DROP]
+    assert master.tracer.spans[-1][4] == ("cancelled",)
+    ledger = master.conservation()
+    assert ledger["dropped"] == 1 and ledger["in_flight"] == 0
+    assert ledger["balance"] == 0
+    assert master.metrics.drops == {"aborted": 1}
+    assert master.policy._dispatched_w == {}
+    report = audit_spans(master.tracer.spans, conservation=ledger,
+                         metrics_report=master.metrics.report())
+    assert report.ok, report.render()
+
+
+def test_trace_audit_reconciles_the_header_ledger(tmp_path, capsys):
+    """``repro trace --audit`` checks a /control/spans stream against the
+    ledger in its header: the saved stream is clean, and the same stream
+    under a header that miscounts completions fails."""
+
+    async def scenario():
+        master = MasterServer(node_id=0, num_nodes=1, workers=2)
+        await master.start()
+        try:
+            for i in range(3):
+                await master.serve_request(make_static(req_id=i, cpu=0.001))
+            return await master._dispatch_http("/control/spans")
+        finally:
+            await master.stop()
+
+    status, _, body = asyncio.run(scenario())
+    assert status == 200
+    header, *spans = body.splitlines()
+    meta = json.loads(header)
+    assert meta["meta"]["conservation"]["completed"] == 3
+    clean = tmp_path / "clean.jsonl"
+    clean.write_text(body)
+    assert main(["trace", "--audit", str(clean)]) == 0
+
+    meta["meta"]["conservation"]["completed"] = 2
+    meta["meta"]["conservation"]["in_flight"] = 1
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join([json.dumps(meta), *spans]) + "\n")
+    assert main(["trace", "--audit", str(tampered)]) == 1
+    assert "conservation" in capsys.readouterr().err
 
 
 @pytest.mark.integration
@@ -88,10 +158,13 @@ def test_loopback_cluster_end_to_end():
     assert any(c[4] for c in result.completions)   # remote completions
 
     # The span stream passes the simulator's audit, including the
-    # reservation invariant — and that check actually ran.
-    report = audit_spans(master.tracer.spans, conservation=ledger)
+    # reservation invariant and the stretch cross-check against the
+    # ledger — and those checks actually ran.
+    report = audit_spans(master.tracer.spans, conservation=ledger,
+                         metrics_report=master.metrics.report())
     assert report.ok, report.render()
     assert report.checked.get("reservation_decisions", 0) > 0
+    assert report.checked["stretch_samples"] == result.ok
 
     # The adaptive cap was live on the master (gate honesty per decision
     # is asserted span-by-span by the audit's reservation check above).

@@ -5,22 +5,19 @@ import math
 import pytest
 
 from repro.sim.metrics import MetricsCollector
-from repro.sim.process import CPU_BURST, SimProcess
 from tests.conftest import make_cgi, make_static
 
 
-def finished_proc(req, finish, node=0):
-    proc = SimProcess(req, node, [(CPU_BURST, req.demand)],
-                      admit_time=req.arrival_time)
-    proc.finish_time = finish
-    return proc
+def record_finished(mc, req, finish, remote, on_master, node=0):
+    """Record ``req`` as completed at ``finish`` with its nominal split."""
+    mc.record(req, req.arrival_time, finish, node, remote, on_master)
 
 
 class TestCollector:
     def test_record_and_report(self):
         mc = MetricsCollector()
         req = make_static(req_id=0, arrival=0.0, cpu=0.001)
-        mc.record(finished_proc(req, 0.002), remote=False, on_master=True)
+        record_finished(mc, req, 0.002, remote=False, on_master=True)
         report = mc.report()
         assert report.completed == 1
         assert report.overall.stretch == pytest.approx(2.0)
@@ -31,8 +28,8 @@ class TestCollector:
         mc = MetricsCollector()
         s = make_static(req_id=0, arrival=0.0, cpu=0.001)
         d = make_cgi(req_id=1, arrival=0.0, cpu=0.01, io=0.01)
-        mc.record(finished_proc(s, 0.002), remote=False, on_master=True)
-        mc.record(finished_proc(d, 0.06), remote=True, on_master=False)
+        record_finished(mc, s, 0.002, remote=False, on_master=True)
+        record_finished(mc, d, 0.06, remote=True, on_master=False)
         rep = mc.report()
         assert rep.static.stretch == pytest.approx(2.0)
         assert rep.dynamic.stretch == pytest.approx(3.0)
@@ -43,8 +40,8 @@ class TestCollector:
         mc = MetricsCollector()
         early = make_static(req_id=0, arrival=0.0, cpu=0.001)
         late = make_static(req_id=1, arrival=10.0, cpu=0.001)
-        mc.record(finished_proc(early, 0.1), remote=False, on_master=True)
-        mc.record(finished_proc(late, 10.001), remote=False, on_master=True)
+        record_finished(mc, early, 0.1, remote=False, on_master=True)
+        record_finished(mc, late, 10.001, remote=False, on_master=True)
         rep = mc.report(warmup=5.0)
         assert rep.completed == 1
         assert rep.overall.stretch == pytest.approx(1.0)
@@ -53,8 +50,8 @@ class TestCollector:
         mc = MetricsCollector()
         a = make_static(req_id=0, arrival=0.0, cpu=0.001)
         b = make_static(req_id=1, arrival=10.0, cpu=0.001)
-        mc.record(finished_proc(a, 0.001), remote=False, on_master=True)
-        mc.record(finished_proc(b, 10.1), remote=False, on_master=True)
+        record_finished(mc, a, 0.001, remote=False, on_master=True)
+        record_finished(mc, b, 10.1, remote=False, on_master=True)
         rep = mc.report(cutoff=5.0)
         assert rep.completed == 1
 
@@ -62,8 +59,8 @@ class TestCollector:
         mc = MetricsCollector()
         for i, on_master in enumerate([True, False, False, False]):
             d = make_cgi(req_id=i, arrival=0.0)
-            mc.record(finished_proc(d, 0.1), remote=not on_master,
-                      on_master=on_master)
+            record_finished(mc, d, 0.1, remote=not on_master,
+                            on_master=on_master)
         rep = mc.report()
         assert rep.master_dynamic_fraction == pytest.approx(0.25)
         assert rep.dynamic_total == 4
@@ -71,7 +68,7 @@ class TestCollector:
     def test_empty_class_stats_are_nan(self):
         mc = MetricsCollector()
         s = make_static(req_id=0, arrival=0.0, cpu=0.001)
-        mc.record(finished_proc(s, 0.002), remote=False, on_master=True)
+        record_finished(mc, s, 0.002, remote=False, on_master=True)
         rep = mc.report()
         assert math.isnan(rep.dynamic.stretch)
 
@@ -79,8 +76,8 @@ class TestCollector:
         mc = MetricsCollector()
         for i in range(10):
             s = make_static(req_id=i, arrival=float(i), cpu=0.001)
-            mc.record(finished_proc(s, i + 0.001), remote=False,
-                      on_master=True)
+            record_finished(mc, s, i + 0.001, remote=False,
+                            on_master=True)
         rep = mc.report()
         assert rep.throughput == pytest.approx(10 / rep.duration)
 
@@ -88,8 +85,8 @@ class TestCollector:
         mc = MetricsCollector()
         for i in range(100):
             s = make_static(req_id=i, arrival=0.0, cpu=0.001)
-            mc.record(finished_proc(s, 0.001 * (1 + i)), remote=False,
-                      on_master=True)
+            record_finished(mc, s, 0.001 * (1 + i), remote=False,
+                            on_master=True)
         rep = mc.report()
         assert rep.overall.median_response <= rep.overall.p95_response
         assert rep.overall.mean_response > 0
@@ -98,7 +95,7 @@ class TestCollector:
         mc = MetricsCollector()
         assert len(mc) == 0
         s = make_static(req_id=0, arrival=0.0, cpu=0.001)
-        mc.record(finished_proc(s, 0.01), remote=False, on_master=True)
+        record_finished(mc, s, 0.01, remote=False, on_master=True)
         assert len(mc) == 1
 
 
@@ -110,8 +107,8 @@ class TestWindowSlicing:
         mc = MetricsCollector()
         for i in range(n):
             s = make_static(req_id=i, arrival=float(i), cpu=0.001)
-            mc.record(finished_proc(s, i + 0.002), remote=False,
-                      on_master=True)
+            record_finished(mc, s, i + 0.002, remote=False,
+                            on_master=True)
         return mc
 
     def test_empty_window_after_all_arrivals(self):
@@ -169,7 +166,7 @@ class TestSnapshotCache:
         mc = self._two_sample_collector()
         first = mc.snapshot()
         s = make_static(req_id=99, arrival=5.0, cpu=0.001)
-        mc.record(finished_proc(s, 5.01), remote=False, on_master=True)
+        record_finished(mc, s, 5.01, remote=False, on_master=True)
         second = mc.snapshot()
         assert second is not first
         assert len(second[0]) == len(first[0]) + 1
@@ -181,6 +178,96 @@ class TestSnapshotCache:
         mc = MetricsCollector()
         for i in range(2):
             s = make_static(req_id=i, arrival=float(i), cpu=0.001)
-            mc.record(finished_proc(s, i + 0.01), remote=False,
-                      on_master=True)
+            record_finished(mc, s, i + 0.01, remote=False,
+                            on_master=True)
         return mc
+
+
+class _Recorder:
+    """Estimator stand-in: keeps every ``observe`` call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def observe(self, kind, cpu, io):
+        self.seen.append((kind, cpu, io))
+
+
+class TestLedgerContract:
+    """The one request ledger both substrates record into."""
+
+    def test_balance_arithmetic(self):
+        mc = MetricsCollector()
+        mc.submitted = 6
+        record_finished(mc, make_static(req_id=0, cpu=0.001), 0.002,
+                        remote=False, on_master=True)
+        mc.drop("timeout")
+        mc.drop("timeout")
+        mc.drop("shed")
+        mc.lost = 1
+        assert mc.drops == {"timeout": 2, "shed": 1}
+        assert mc.total_dropped == 3
+        assert mc.conservation(in_flight=1, pending=0) == {
+            "submitted": 6, "completed": 1, "dropped": 3, "lost": 1,
+            "in_flight": 1, "pending": 0, "balance": 0}
+        assert mc.conservation(in_flight=0, pending=1)["balance"] == 0
+        # A submitted request that is neither held nor terminal is
+        # unaccounted for: the ledger says so.
+        mc.submitted += 1
+        assert mc.conservation(in_flight=1, pending=0)["balance"] == 1
+
+    def test_stretch_uses_nominal_demand_estimator_the_measured_split(self):
+        mc = MetricsCollector()
+        measured = make_cgi(req_id=0, arrival=1.0, cpu=0.01, io=0.01)
+        mc.record(measured, 1.0, 1.06, 2, True, False, cpu=0.015, io=0.02)
+        unmeasured = make_cgi(req_id=1, arrival=1.0, cpu=0.02, io=0.01)
+        mc.record(unmeasured, 1.0, 1.03, 2, True, False)
+        assert mc.demands == [pytest.approx(0.02), pytest.approx(0.03)]
+        assert mc.cpu_demands == [0.015, 0.02]
+        assert mc.io_demands == [0.02, 0.01]
+        assert mc.nodes == [2, 2]
+        rep = mc.report()
+        # Stretch divides by the nominal demand, not the measured split.
+        assert rep.dynamic.stretch == pytest.approx((3.0 + 1.0) / 2)
+        assert rep.remote_dispatches == 2
+
+    def test_sim_feed_ingests_only_new_rows(self):
+        from repro.control.actuator import SimAdapter
+        from repro.core.policies import make_policy
+        from repro.sim.cluster import Cluster
+        from repro.sim.config import paper_sim_config
+
+        cluster = Cluster(paper_sim_config(num_nodes=2, seed=1),
+                          make_policy("MS", 2, 1, seed=2))
+        adapter, est = SimAdapter(cluster), _Recorder()
+        cluster.submit_many([make_static(req_id=0, arrival=0.0),
+                             make_cgi(req_id=1, arrival=0.0, cpu=0.02,
+                                      io=0.01),
+                             make_static(req_id=2, arrival=5.0)])
+        cluster.run(until=2.0)
+        assert adapter.poll(est) == 2
+        assert adapter.poll(est) == 0
+        cluster.run(until=10.0)
+        assert adapter.poll(est) == 1
+        m = cluster.metrics
+        assert est.seen == list(zip(m.kinds, m.cpu_demands, m.io_demands))
+        assert (1, 0.02, 0.01) in est.seen
+
+    def test_live_feed_ingests_only_new_rows(self):
+        from repro.control.actuator import LiveAdapter
+        from repro.live.master import MasterServer
+
+        master = MasterServer(node_id=0, num_nodes=1)
+        try:
+            adapter, est = LiveAdapter(master), _Recorder()
+            ledger = master.metrics
+            ledger.record(make_cgi(req_id=0, cpu=0.02, io=0.01), 0.0, 0.1,
+                          0, False, True, cpu=0.025, io=0.012)
+            assert adapter.poll(est) == 1
+            assert adapter.poll(est) == 0
+            ledger.record(make_static(req_id=1, cpu=0.001), 0.1, 0.2,
+                          0, False, True)
+            assert adapter.poll(est) == 1
+            assert est.seen == [(1, 0.025, 0.012), (0, 0.001, 0.0)]
+        finally:
+            master.pool.shutdown()

@@ -73,7 +73,7 @@ class TestDeadlines:
         cluster.run(until=5.0)
         mgr = cluster.resilience
         assert mgr.timeouts == 3          # initial attempt + 2 retries
-        assert mgr.drops == {"timeout": 1}
+        assert cluster.metrics.drops == {"timeout": 1}
         assert cluster.nodes[0].active == 0
         cluster.assert_conservation()
 
@@ -124,8 +124,8 @@ class TestRetries:
         victim = next(n for n in cluster.nodes if n.active)
         cluster.fail_node(victim.node_id)
         cluster.run(until=5.0)
-        assert cluster.resilience.drops == {"crash": 1}
-        assert cluster.lost_requests == 0  # accounted, not lost
+        assert cluster.metrics.drops == {"crash": 1}
+        assert cluster.metrics.lost == 0  # accounted, not lost
         cluster.assert_conservation()
 
     def test_dead_node_denials_retry_with_backoff(self):
@@ -145,15 +145,15 @@ class TestRetries:
         cluster.run(until=30.0)
         mgr = cluster.resilience
         assert mgr.retries > 0
-        assert len(cluster.metrics) + mgr.total_dropped == 40
-        assert set(mgr.drops) <= {"dead_node"}
+        assert len(cluster.metrics) + cluster.metrics.total_dropped == 40
+        assert set(cluster.metrics.drops) <= {"dead_node"}
         cluster.assert_conservation()
 
     def test_drop_reasons_are_canonical(self):
         cluster = build(resilience=ResilienceConfig())
         cluster.submit(make_cgi(req_id=0, cpu=0.01))
         cluster.run(until=5.0)
-        assert set(cluster.resilience.drops) <= set(DROP_REASONS)
+        assert set(cluster.metrics.drops) <= set(DROP_REASONS)
 
 
 class TestShedding:
@@ -173,7 +173,7 @@ class TestShedding:
         cluster.run(until=1.0)
         mgr = cluster.resilience
         assert mgr.shed_level == 2
-        assert mgr.drops.get("shed", 0) > 0
+        assert cluster.metrics.drops.get("shed", 0) > 0
         assert cluster.policy.reservation.cap_scale == 0.0
         assert not cluster.policy.reservation.admit_to_master()
 
@@ -184,7 +184,7 @@ class TestShedding:
         assert mgr.shed_level == 0
         assert cluster.policy.reservation.cap_scale == 1.0
         assert mgr.shed_transitions >= 2
-        assert len(cluster.metrics) + mgr.total_dropped == 60
+        assert len(cluster.metrics) + cluster.metrics.total_dropped == 60
         cluster.assert_conservation()
 
     def test_static_not_shed(self):
@@ -197,7 +197,7 @@ class TestShedding:
         cluster.submit_many(reqs)
         cluster.run(until=60.0)
         mgr = cluster.resilience
-        assert mgr.drops.get("shed", 0) > 0
+        assert cluster.metrics.drops.get("shed", 0) > 0
         # All statics completed: shedding only gates dynamic admissions.
         static_done = sum(1 for d in cluster.metrics.demands if d < 0.01)
         assert static_done == 20
@@ -346,8 +346,7 @@ class TestConservation:
             ledger = cluster.conservation()
             assert ledger["balance"] == 0
             assert ledger["in_flight"] == 0 and ledger["pending"] == 0
-            dropped = (cluster.resilience.total_dropped
-                       if cluster.resilience else 0)
+            dropped = cluster.metrics.total_dropped
             assert len(cluster.metrics) + dropped == len(trace)
             cluster.assert_conservation()
 
@@ -368,7 +367,7 @@ class TestConservation:
         victim = next(n for n in cluster.nodes if n.active)
         cluster.fail_node(victim.node_id)
         cluster.run(until=5.0)
-        assert cluster.lost_requests == 1
+        assert cluster.metrics.lost == 1
         cluster.assert_conservation()
 
 

@@ -96,31 +96,23 @@ class TestTwoClassCalibration:
 class TestClassLevelStretch:
     def test_single_class_report(self):
         from repro.sim.metrics import MetricsCollector
-        from repro.sim.process import CPU_BURST, SimProcess
         from tests.conftest import make_static
 
         mc = MetricsCollector()
         req = make_static(req_id=0, arrival=0.0, cpu=0.001)
-        proc = SimProcess(req, 0, [(CPU_BURST, 0.001)], admit_time=0.0)
-        proc.finish_time = 0.003
-        mc.record(proc, remote=False, on_master=True)
+        mc.record(req, 0.0, 0.003, 0, remote=False, on_master=True)
         assert class_level_stretch(mc.report()) == pytest.approx(3.0)
 
     def test_two_class_weighting(self):
         from repro.sim.metrics import MetricsCollector
-        from repro.sim.process import CPU_BURST, SimProcess
         from tests.conftest import make_cgi, make_static
 
         mc = MetricsCollector()
         # 3 statics at class stretch 2, 1 dynamic at class stretch 4.
         for i in range(3):
             req = make_static(req_id=i, arrival=0.0, cpu=0.001)
-            proc = SimProcess(req, 0, [(CPU_BURST, 0.001)], admit_time=0.0)
-            proc.finish_time = 0.002
-            mc.record(proc, remote=False, on_master=True)
+            mc.record(req, 0.0, 0.002, 0, remote=False, on_master=True)
         req = make_cgi(req_id=9, arrival=0.0, cpu=0.01, io=0.0)
-        proc = SimProcess(req, 0, [(CPU_BURST, 0.01)], admit_time=0.0)
-        proc.finish_time = 0.04
-        mc.record(proc, remote=False, on_master=False)
+        mc.record(req, 0.0, 0.04, 0, remote=False, on_master=False)
         assert class_level_stretch(mc.report()) == pytest.approx(
             (3 * 2.0 + 1 * 4.0) / 4)
