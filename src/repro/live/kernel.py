@@ -5,31 +5,44 @@ controlled (WebSTONE busy-spin, WebGlimpse search, ADL catalog lookups).
 The live cluster does the same: a dynamic request arrives carrying its
 demand split ``(cpu_seconds, io_seconds)`` drawn from
 :mod:`repro.workload.cgi_profiles`, and the kernel *realises* that demand —
-CPU demand as an actual arithmetic spin on the worker thread, disk demand
-as a blocking sleep (the request holds its worker but burns no cycles,
-like a thread parked in ``read(2)``).
+CPU demand as an actual burn on the worker thread, disk demand as a
+blocking sleep (the request holds its worker but burns no cycles, like a
+thread parked in ``read(2)``).
+
+The burn releases the GIL
+-------------------------
+In the paper each CGI is a forked process, so its CPU time never delays
+the server that dispatched it.  Here the CGI runs on a worker thread of
+the node's own process, so the burn must not hold the interpreter lock:
+a pure-Python loop would stall the node's event loop (dispatch, the
+``admit``/``start``/``done`` frames, heartbeats) for up to one switch
+interval (5 ms) at a time.  The burn therefore hashes a preallocated
+zero buffer with :func:`hashlib.sha256`, which drops the GIL for the
+whole of any input of 2 KiB or more; the worker holds the lock only for
+the few bytecodes between chunks.
 
 Calibration
 -----------
-``burn_cpu`` cannot trust a fixed iterations-per-second constant: hosts
-differ and CI machines throttle.  :func:`calibrate` times the spin loop
-once per process and caches the rate; :func:`burn_cpu` then spins in
-chunks sized from that rate, re-checking ``perf_counter`` between chunks
-so it lands within a chunk of the target regardless of drift.
+``burn_cpu`` cannot trust a fixed bytes-per-second constant: hosts
+differ and CI machines throttle.  :func:`calibrate` times the hash once
+per process and caches the rate; :func:`burn_cpu` then hashes in chunks
+sized from that rate, re-checking ``perf_counter`` between chunks so it
+lands within a chunk of the target regardless of drift.
 
 :class:`BusyMeter` is the live counterpart of the simulator's per-device
-busy-time counters: workers report completed CPU/disk seconds, and the
-load daemon differentiates the totals into windowed utilisations exactly
-like :class:`repro.sim.monitor.LoadMonitor` does for ``rstat()``, and
-:class:`LoadReporter` sends each window to the masters as one heartbeat.
-Every node runs this module, slaves included, so nothing it imports loads
-numpy: a slave process starts in a fraction of the time an import of the
-whole package would take.
+busy-time counters: the worker pool reports completed CPU/disk seconds,
+and the load daemon differentiates the totals into windowed utilisations
+exactly like :class:`repro.sim.monitor.LoadMonitor` does for ``rstat()``,
+and :class:`LoadReporter` sends each window to the masters as one
+heartbeat.  Every node runs this module, slaves included, so nothing it
+imports loads numpy: a slave process starts in a fraction of the time an
+import of the whole package would take.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import threading
 import time
 from typing import Callable, Optional, Sequence, Tuple
@@ -57,58 +70,63 @@ class LiveClock:
         return time.monotonic() - self.epoch
 
 
-#: Target wall time of one uninterrupted spin chunk, seconds.  Small
+#: Target wall time of one uninterrupted burn chunk, seconds.  Small
 #: enough that burn overshoot stays ~1% of a 5 ms demand, large enough
 #: that the clock check is not the dominant cost.
 _CHUNK_SECONDS = 50e-6
 
-#: Iterations used to measure the spin rate.
-_CALIBRATE_ITERS = 200_000
+#: The zero buffer the burn hashes.  A chunk never exceeds it, and it is
+#: kept small so the burn adds nothing measurable to a node's memory.
+_BUFFER = memoryview(bytes(64 * 1024))
+
+#: Smallest chunk: OpenSSL's hash releases the GIL from 2 KiB of input.
+_MIN_CHUNK = 2048
+
+#: Full-buffer hashes timed by one calibration pass (2 MiB).
+_CALIBRATE_CHUNKS = 32
 
 _spin_rate_lock = threading.Lock()
 _spin_rate: Optional[float] = None
 
 
-def _spin(n: int) -> float:
-    """The burn loop body: ``n`` float multiply-adds."""
-    acc = 1.0
-    for _ in range(n):
-        acc = acc * 1.0000001 + 1e-9
-    return acc
+def _spin(nbytes: int) -> None:
+    """The burn body: hash ``nbytes`` (at most one buffer) of zeros."""
+    hashlib.sha256(_BUFFER[:nbytes])
 
 
 def calibrate(force: bool = False) -> float:
-    """Measure (and cache) the spin rate in iterations/second."""
+    """Measure (and cache) the burn rate in bytes/second."""
     global _spin_rate
     with _spin_rate_lock:
         if _spin_rate is not None and not force:
             return _spin_rate
+        size = len(_BUFFER)
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            _spin(_CALIBRATE_ITERS)
+            for _ in range(_CALIBRATE_CHUNKS):
+                _spin(size)
             best = min(best, time.perf_counter() - t0)
-        _spin_rate = _CALIBRATE_ITERS / max(best, 1e-9)
+        _spin_rate = _CALIBRATE_CHUNKS * size / max(best, 1e-9)
         return _spin_rate
 
 
 def burn_cpu(seconds: float) -> float:
     """Burn approximately ``seconds`` of CPU; return the measured elapsed.
 
-    Spins in calibrated chunks, re-checking the clock between chunks, so
-    the overshoot is bounded by one chunk (~50 microseconds) plus
-    scheduler noise.
+    Hashes in calibrated chunks with the GIL released, re-checking the
+    clock between chunks, so the overshoot is bounded by one chunk
+    (~50 microseconds) plus scheduler noise.
     """
     if seconds <= 0:
         return 0.0
     rate = calibrate()
-    chunk = max(64, int(rate * _CHUNK_SECONDS))
+    chunk = min(len(_BUFFER), max(_MIN_CHUNK, int(rate * _CHUNK_SECONDS)))
     t0 = time.perf_counter()
     deadline = t0 + seconds
     now = t0
     while now < deadline:
-        remaining = deadline - now
-        _spin(min(chunk, max(64, int(rate * remaining))))
+        _spin(min(chunk, max(_MIN_CHUNK, int(rate * (deadline - now)))))
         now = time.perf_counter()
     return now - t0
 
@@ -131,10 +149,11 @@ def run_cgi(cpu_seconds: float, io_seconds: float) -> Tuple[float, float]:
 class BusyMeter:
     """Thread-safe cumulative CPU/disk busy-seconds for one node.
 
-    Workers call :meth:`add` when a request finishes; the load daemon
-    calls :meth:`sample` once per heartbeat period to turn the running
-    totals into utilisations over the elapsed window, normalised by the
-    pool ``capacity`` (a node with ``k`` workers can accumulate ``k``
+    The worker pool calls :meth:`add` when a job leaves a worker thread,
+    whether or not its caller is still waiting; the load daemon calls
+    :meth:`sample` once per heartbeat period to turn the running totals
+    into utilisations over the elapsed window, normalised by the pool
+    ``capacity`` (a node with ``k`` workers can accumulate ``k``
     busy-seconds per wall second).
     """
 
@@ -151,7 +170,8 @@ class BusyMeter:
         self._last_cpu = 0.0
         self._last_io = 0.0
         self._last_time = now
-        #: In-flight requests (admitted, not yet finished); informational.
+        #: Jobs in the node's pool, from submit until they leave it
+        #: (backlogged or running); informational.
         self.active = 0
 
     def add(self, cpu_seconds: float, io_seconds: float) -> None:

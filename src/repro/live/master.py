@@ -452,7 +452,7 @@ class MasterServer:
     async def _execute_local(self, request: Request, route: Route,
                              t_arrive: float) -> dict:
         node = self.node_id
-        backlogged = self.pool.semaphore.locked()
+        backlogged = self.pool.full
         self._record(ADMIT, request.req_id, node, (backlogged,))
 
         def on_start() -> None:

@@ -1,13 +1,17 @@
 """The per-node execution substrate: worker pool + framed remote-CGI service.
 
 Every node of the live cluster — slave or master — owns one
-:class:`WorkerPool`: a ``ThreadPoolExecutor`` gated by an
-:class:`asyncio.Semaphore` of the same width, the live analogue of the
-simulator's per-node multiprogramming level.  The pool realises request
-demands through the calibrated burn/sleep kernel and accounts the measured
-busy seconds to the node's :class:`~repro.live.kernel.BusyMeter` (which
-the load daemon turns into the CPU-idle/disk-avail heartbeats the RSRC
-predictor consumes).
+:class:`WorkerPool`: ``workers`` long-lived threads, the live analogue of
+the simulator's per-node multiprogramming level.  The pool realises
+request demands through the calibrated burn/sleep kernel, whose burn
+releases the GIL, so a running CGI does not stall the node's event loop.
+A local request crosses threads once each way: the loop hands the job to
+a thread through one queue, and the thread reports back with one
+``call_soon_threadsafe``.  A slot is held from that hand-off until the
+thread returns, even when the caller was cancelled in between, and the
+measured busy seconds go to the node's
+:class:`~repro.live.kernel.BusyMeter` (which the load daemon turns into
+the CPU-idle/disk-avail heartbeats the RSRC predictor consumes).
 
 On top of the pool, :class:`CGIService` exposes the node to its peers: a
 TCP server speaking the length-prefixed protocol of
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import os
+import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence, Tuple
+import threading
+from collections import deque
+from typing import Callable, Deque, Optional, Sequence, Tuple, Union
 
 from repro.live import protocol
 from repro.live.kernel import (
@@ -46,8 +52,35 @@ from repro.sim.config import MonitorConfig
 READY_PREFIX = "REPRO-SLAVE-READY"
 
 
+#: What a worker thread reports: measured ``(cpu, io)`` or the error.
+_Outcome = Union[Tuple[float, float], Exception]
+
+
+class _Job:
+    """One demand on its way through a :class:`WorkerPool`."""
+
+    __slots__ = ("cpu", "io", "on_start", "future", "backlogged")
+
+    def __init__(self, cpu: float, io: float,
+                 on_start: Optional[Callable[[], None]],
+                 future: "asyncio.Future[Tuple[float, float]]") -> None:
+        self.cpu = cpu
+        self.io = io
+        self.on_start = on_start
+        self.future = future
+        self.backlogged = False
+
+
 class WorkerPool:
-    """Bounded execution of request demands on real worker threads."""
+    """Bounded execution of request demands on real worker threads.
+
+    ``workers`` long-lived threads read one :class:`queue.SimpleQueue`;
+    the rest of the pool lives on the event loop.  A job takes a slot
+    (``busy``) when it is handed to a thread and waits in the FIFO
+    ``backlog`` while every slot is taken.  Its thread reports the result
+    with one ``call_soon_threadsafe``, and on that callback the loop frees
+    the slot and hands the next backlogged job over.
+    """
 
     def __init__(self, node_id: int, workers: int, meter: BusyMeter):
         if workers < 1:
@@ -55,35 +88,108 @@ class WorkerPool:
         self.node_id = node_id
         self.workers = workers
         self.meter = meter
-        self.semaphore = asyncio.Semaphore(workers)
-        self.executor = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix=f"cgi-{node_id}")
+        #: Jobs handed to a thread whose result has not come back.
+        self.busy = 0
+        #: Jobs waiting for a slot, oldest first.
+        self.backlog: Deque[_Job] = deque()
         self.completed = 0
+        self._closed = False
+        self._jobs: "queue.SimpleQueue[Optional[_Job]]" = queue.SimpleQueue()
+        self._threads = [
+            threading.Thread(target=self._work, name=f"cgi-{node_id}-{i}",
+                             daemon=True)
+            for i in range(workers)]
+        for thread in self._threads:
+            thread.start()
+
+    @property
+    def full(self) -> bool:
+        """Every slot is taken: a job submitted now is backlogged."""
+        return self.busy >= self.workers
 
     async def run(self, cpu_seconds: float, io_seconds: float,
                   on_start: Optional[Callable[[], None]] = None
                   ) -> Tuple[float, float]:
         """Execute one demand; returns measured ``(cpu, io)`` seconds.
 
-        ``on_start`` fires (synchronously, on the event loop) the moment a
-        worker slot is acquired — the live "left the backlog" signal.
+        ``on_start`` fires (synchronously, on the event loop) the moment
+        the job is handed to a thread — the live "left the backlog"
+        signal.  A caller cancelled while its job is backlogged withdraws
+        the job, so it never runs; one cancelled while its job runs
+        leaves the slot held until the thread returns.
         """
+        if self._closed:
+            raise RuntimeError("worker pool is shut down")
+        job = _Job(cpu_seconds, io_seconds, on_start,
+                   asyncio.get_running_loop().create_future())
         self.meter.begin()
+        if self.full:
+            job.backlogged = True
+            self.backlog.append(job)
+        else:
+            self._hand(job)
         try:
-            async with self.semaphore:
-                if on_start is not None:
-                    on_start()
-                loop = asyncio.get_running_loop()
-                cpu_used, io_used = await loop.run_in_executor(
-                    self.executor, run_cgi, cpu_seconds, io_seconds)
-            self.meter.add(cpu_used, io_used)
+            return await job.future
+        except asyncio.CancelledError:
+            if job.backlogged:
+                self._withdraw(job)
+            raise
+
+    def _hand(self, job: _Job) -> None:
+        self.busy += 1
+        self._jobs.put(job)
+        if job.on_start is not None:
+            job.on_start()
+
+    def _withdraw(self, job: _Job) -> None:
+        job.backlogged = False
+        self.backlog.remove(job)
+        self.meter.end()
+
+    def _work(self) -> None:
+        """Worker thread: run jobs until the shutdown sentinel."""
+        while True:
+            job = self._jobs.get()
+            if job is None:
+                return
+            outcome: _Outcome
+            try:
+                outcome = run_cgi(job.cpu, job.io)
+            except Exception as exc:    # delivered to the caller
+                outcome = exc
+            try:
+                job.future.get_loop().call_soon_threadsafe(
+                    self._finish, job, outcome)
+            except RuntimeError:        # the loop closed while the job ran
+                pass
+
+    def _finish(self, job: _Job, outcome: _Outcome) -> None:
+        """On the loop: the job's thread returned; free its slot."""
+        self.busy -= 1
+        self.meter.end()
+        if isinstance(outcome, Exception):
+            if not job.future.done():   # not cancelled by its caller
+                job.future.set_exception(outcome)
+        else:
+            self.meter.add(*outcome)
             self.completed += 1
-            return cpu_used, io_used
-        finally:
-            self.meter.end()
+            if not job.future.done():
+                job.future.set_result(outcome)
+        while self.backlog and not self.full:
+            nxt = self.backlog.popleft()
+            nxt.backlogged = False
+            self._hand(nxt)
 
     def shutdown(self) -> None:
-        self.executor.shutdown(wait=False, cancel_futures=True)
+        """Cancel backlogged jobs; each thread exits after its current job."""
+        if self._closed:
+            return
+        self._closed = True
+        for job in list(self.backlog):
+            self._withdraw(job)
+            job.future.cancel()
+        for _ in self._threads:
+            self._jobs.put(None)
 
 
 class CGIService:

@@ -13,9 +13,10 @@ The documented acceptance band is deliberately generous —
 ``TOLERANCE = 4.0`` — because the two substrates differ in ways the model
 does not try to capture:
 
-* the live host in CI has **one CPU core**: concurrent CPU burns contend
-  through the GIL and stretch each other's wall time, while the simulator
-  gives every node its own processor;
+* the live nodes share the host's few CPU cores, while the simulator
+  gives every node its own processor (the CGI burn releases the GIL, so
+  a node's burns no longer serialise with its event loop, but they still
+  compete for the cores);
 * live requests pay real syscall/framing/HTTP overhead (~0.5–2 ms per
   hop on loopback) that the simulator folds into one fixed network
   latency;
@@ -24,8 +25,7 @@ does not try to capture:
 
 To keep both runs in a regime the comparison can survive, the default
 workload is the paper's ADL mix (disk-heavy CGI, ``w ~= 0.1``) at low
-utilisation, where sleeps dominate and the single real core is mostly
-idle.  The validation asserts the *metric*, and separately that the live
+utilisation, where sleeps dominate and the real cores are mostly idle.  The validation asserts the *metric*, and separately that the live
 scheduler actually exercised the paper's machinery (remote dispatch
 happened, the reservation controller saw traffic).
 """
