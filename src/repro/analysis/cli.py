@@ -50,10 +50,7 @@ import sys
 from typing import List, Optional
 
 from repro import __version__
-from repro.analysis import experiments
 from repro.analysis.reporting import format_table
-from repro.analysis.sweep import choose_masters
-from repro.analysis.validation import mm1_calibration
 from repro.core.policies import make_policy
 from repro.obs import (
     Tracer,
@@ -64,15 +61,15 @@ from repro.obs import (
     save_jsonl,
     summarize_spans,
 )
-from repro.core.queuing import Workload, flat_stretch
-from repro.core.theorem import optimal_masters, theta_bounds
 from repro.perf.bench import add_bench_parser
 from repro.sim.config import paper_sim_config
 from repro.sim.failures import CHAOS_SCENARIOS
-from repro.workload.generator import generate_trace, trace_statistics
 from repro.workload.io import load_trace, save_trace
-from repro.workload.replay import pretrain_sampler, replay
 from repro.workload.traces import get_trace
+
+# Each command imports the experiment harness, ``workload.replay`` and
+# the workload generator itself, so ``repro serve`` and the other live
+# commands start without them.
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -91,6 +88,9 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_design(args: argparse.Namespace) -> int:
     """``repro design``: Theorem-1 sizing for a described workload."""
+    from repro.core.queuing import Workload, flat_stretch
+    from repro.core.theorem import optimal_masters, theta_bounds
+
     w = Workload.from_ratios(lam=args.lam, a=args.a, mu_h=args.mu_h,
                              r=1.0 / args.inv_r, p=args.p)
     if not w.feasible:
@@ -120,6 +120,10 @@ _AUDIT_SUITES = "__suites__"
 
 def _trace_record(args: argparse.Namespace) -> int:
     """``repro trace --record OUT``: replay, audit, and save the spans."""
+    from repro.analysis.sweep import choose_masters
+    from repro.workload.generator import generate_trace
+    from repro.workload.replay import pretrain_sampler, replay
+
     spec = get_trace(args.trace)
     trace = generate_trace(spec, rate=args.rate, duration=args.duration,
                            mu_h=args.mu_h, r=1.0 / args.inv_r,
@@ -191,6 +195,11 @@ def _trace_audit_file(path: str) -> int:
 def _trace_audit_suites(args: argparse.Namespace) -> int:
     """Bare ``repro trace --audit``: audit fig3/fig4-style replays and the
     chaos harness end to end; exit non-zero on any invariant violation."""
+    from repro.analysis import experiments
+    from repro.analysis.sweep import choose_masters
+    from repro.workload.generator import generate_trace
+    from repro.workload.replay import pretrain_sampler, replay
+
     rows: List[List[object]] = []
     failures = 0
 
@@ -271,6 +280,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def _trace_generate(args: argparse.Namespace) -> int:
     """Original ``repro trace``: generate (and maybe save) a workload."""
+    from repro.workload.generator import generate_trace, trace_statistics
+
     spec = get_trace(args.trace)
     trace = generate_trace(spec, rate=args.rate, duration=args.duration,
                            mu_h=args.mu_h, r=1.0 / args.inv_r,
@@ -291,6 +302,10 @@ def _trace_generate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """``repro replay``: simulate one trace under one policy."""
+    from repro.analysis.sweep import choose_masters
+    from repro.workload.generator import generate_trace
+    from repro.workload.replay import pretrain_sampler, replay
+
     if args.from_file:
         trace = load_trace(args.from_file)
         spec = get_trace(args.trace)
@@ -330,6 +345,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """``repro fig3|table1|...``: regenerate a paper artifact."""
+    from repro.analysis import experiments
+
     name = args.experiment
     if name == "fig3":
         print(experiments.run_fig3().render())
@@ -354,6 +371,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """``repro chaos``: availability under a composed failure scenario."""
+    from repro.analysis import experiments
+
     result = experiments.run_chaos(
         scenario=args.scenario,
         trace_name=args.trace,
@@ -371,6 +390,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """``repro calibrate``: clean-simulator vs M/M/1 check."""
+    from repro.analysis.validation import mm1_calibration
+
     rows = mm1_calibration(duration=args.duration * 5, seed=args.seed)
     print(format_table(
         ["rho", "1/(1-rho)", "simulated", "error %"],
@@ -479,6 +500,8 @@ def cmd_control(args: argparse.Namespace) -> int:
     cfg = _control_config(args)
     if args.live:
         return _control_live(args, cfg)
+    from repro.analysis import experiments
+
     tracer = Tracer()
     result = experiments.run_control_drift(
         trace_name=args.trace, p=args.nodes, mu_h=args.mu_h,

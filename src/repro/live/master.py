@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.policies import FrontEndMSPolicy, Route
@@ -64,6 +64,7 @@ from repro.obs.trace import (
     DISPATCH,
     DROP,
     START,
+    SpanLog,
     Tracer,
     iter_jsonl,
 )
@@ -218,7 +219,12 @@ class PeerConnection:
 
 
 _HTTP_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+                 431: "Request Header Fields Too Large",
                  503: "Service Unavailable"}
+
+#: Caps on one request's header block: past either, the reply is 431.
+MAX_HEADER_LINES = 100
+MAX_HEADER_BYTES = 16 * 1024
 
 
 class MasterServer:
@@ -250,7 +256,8 @@ class MasterServer:
                 default_w=default_w),
             reservation_cfg=reservation_cfg,
             default_w=default_w, seed=seed)
-        self.tracer: Optional[Tracer] = Tracer(self.clock) if traced else None
+        self.tracer: Optional[Tracer] = (
+            Tracer(self.clock, SpanLog()) if traced else None)
         if self.tracer is not None:
             self.policy.trace_decisions = True
         self.meter = BusyMeter(capacity=workers, now=self.clock.now)
@@ -387,6 +394,7 @@ class MasterServer:
             "conservation": self.conservation(),
             "metrics": metrics,
             "spans": len(self.tracer.spans) if self.tracer else 0,
+            "span_bytes": self.tracer.spans.nbytes if self.tracer else 0,
             "heartbeats": self.table.heartbeats,
             "heartbeats_rejected": self.table.rejected,
             "cpu_idle": [float(x) for x in self.table.cpu_idle],
@@ -522,7 +530,12 @@ class MasterServer:
         self.http_connections += 1
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:      # longer than the reader's limit
+                    await self._respond(writer, 400,
+                                        {"error": "request line too long"})
+                    break
                 if not line or line in (b"\r\n", b"\n"):
                     break
                 try:
@@ -532,20 +545,19 @@ class MasterServer:
                     await self._respond(writer, 400,
                                         {"error": "bad request line"})
                     break
-                close = False
-                while True:         # drain headers
-                    header = await reader.readline()
-                    if header in (b"\r\n", b"\n", b""):
-                        break
-                    if header.lower().startswith(b"connection:") \
-                            and b"close" in header.lower():
-                        close = True
+                headers = await self._read_headers(reader)
+                if headers is None:
+                    await self._respond(writer, 431,
+                                        {"error": "header block too large"})
+                    break
+                close = any(h.lower().startswith(b"connection:")
+                            and b"close" in h.lower() for h in headers)
                 if method.upper() != "GET":
                     await self._respond(writer, 400,
                                         {"error": "GET only"})
                     break
-                status, payload, raw = await self._dispatch_http(target)
-                await self._respond(writer, status, payload, raw=raw)
+                status, payload, lines = await self._dispatch_http(target)
+                await self._respond(writer, status, payload, lines)
                 if close:
                     break
         except (ConnectionResetError, asyncio.IncompleteReadError):
@@ -557,8 +569,29 @@ class MasterServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _read_headers(reader: asyncio.StreamReader
+                            ) -> Optional[List[bytes]]:
+        """The request's header lines, or None once the block passes
+        :data:`MAX_HEADER_LINES` or :data:`MAX_HEADER_BYTES`, or one line
+        passes the reader's limit."""
+        headers: List[bytes] = []
+        size = 0
+        while True:
+            try:
+                line = await reader.readline()
+            except ValueError:
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                return headers
+            headers.append(line)
+            size += len(line)
+            if len(headers) > MAX_HEADER_LINES or size > MAX_HEADER_BYTES:
+                return None
+
     async def _dispatch_http(self, target: str):
-        """Route one HTTP target; returns (status, json_payload, raw_text)."""
+        """Route one HTTP target; returns (status, json_payload, lines),
+        ``lines`` as :meth:`_respond` takes it."""
         parts = urlsplit(target)
         path = parts.path
         if path == "/healthz":
@@ -568,11 +601,11 @@ class MasterServer:
         if path == "/control/spans":
             if self.tracer is None:
                 return 404, {"error": "tracing disabled"}, None
-            body = "\n".join(iter_jsonl(
-                self.tracer.spans,
-                meta={"source": "repro.live", "node": self.node_id,
-                      "conservation": self.conservation()})) + "\n"
-            return 200, None, body
+            # A fixed copy: spans recorded while the body streams stay out.
+            spans = self.tracer.spans.copy()
+            meta = {"source": "repro.live", "node": self.node_id,
+                    "conservation": self.conservation()}
+            return 200, None, lambda: iter_jsonl(spans, meta)
         if path == "/req":
             try:
                 request = self._parse_request(parse_qs(parts.query))
@@ -607,13 +640,27 @@ class MasterServer:
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Optional[dict],
-                       raw: Optional[str] = None) -> None:
-        body = (raw if raw is not None
-                else json.dumps(payload, separators=(",", ":"))).encode()
-        ctype = "text/plain" if raw is not None else "application/json"
-        head = (f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
-                f"Content-Type: {ctype}\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                f"Connection: keep-alive\r\n\r\n").encode("latin-1")
-        writer.write(head + body)
+                       lines: Optional[Callable[[], Iterable[str]]] = None
+                       ) -> None:
+        """Write one response: ``payload`` as JSON, or else the text that
+        ``lines()`` yields, a newline after each piece, one drain a piece.
+        ``lines`` is called twice: once to size the body."""
+        if lines is None:
+            body = json.dumps(payload, separators=(",", ":")).encode()
+            writer.write(self._head(status, "application/json", len(body))
+                         + body)
+        else:
+            # JSON text is ASCII (it escapes the rest): a character a byte.
+            size = sum(len(piece) + 1 for piece in lines())
+            writer.write(self._head(status, "text/plain", size))
+            for piece in lines():
+                writer.write((piece + "\n").encode())
+                await writer.drain()
         await writer.drain()
+
+    @staticmethod
+    def _head(status: int, ctype: str, size: int) -> bytes:
+        return (f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
+                f"Content-Type: {ctype}\r\n"
+                f"Content-Length: {size}\r\n"
+                f"Connection: keep-alive\r\n\r\n").encode("latin-1")

@@ -487,6 +487,7 @@ def audit_spans(
         When true, devices still serving at the end of the stream are
         violations (the run was expected to drain).
     """
+    spans = spans if isinstance(spans, list) else list(spans)   # six walks
     report = AuditReport()
     bg = {span[2] for span in spans if span[1] == BG_ADMIT}
     _check_monotonic(spans, report)

@@ -50,3 +50,16 @@ def test_package_imports_load_nothing_until_used():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "['repro._lazy']"
+
+
+def test_cli_parser_leaves_the_simulator_harness_unloaded():
+    """``repro serve`` builds the whole parser; that alone must not import
+    the experiment harness or the simulator's replay."""
+    heavy = ("repro.analysis.experiments", "repro.analysis.sweep",
+             "repro.workload.replay", "repro.sim.cluster")
+    code = ("import sys; from repro.analysis.cli import build_parser; "
+            f"build_parser(); print([m for m in {heavy!r} "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

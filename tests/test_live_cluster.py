@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.live.cluster import LiveCluster, LiveClusterConfig
-from repro.live.loadgen import run_loadgen
+from repro.live.loadgen import http_get, run_loadgen
 from repro.live.master import MasterServer
 from repro.live.validate import make_validation_trace
 from repro.obs.audit import audit_spans
@@ -99,12 +99,14 @@ def test_trace_audit_reconciles_the_header_ledger(tmp_path, capsys):
         try:
             for i in range(3):
                 await master.serve_request(make_static(req_id=i, cpu=0.001))
-            return await master._dispatch_http("/control/spans")
+            return await http_get(master.host, master.http_port,
+                                  "/control/spans")
         finally:
             await master.stop()
 
-    status, _, body = asyncio.run(scenario())
+    status, raw = asyncio.run(scenario())
     assert status == 200
+    body = raw.decode()
     header, *spans = body.splitlines()
     meta = json.loads(header)
     assert meta["meta"]["conservation"]["completed"] == 3
