@@ -179,12 +179,14 @@ def _trace_audit_file(path: str) -> int:
     """``repro trace --audit FILE``: audit of a saved stream.
 
     Checks the trace-derivable invariants (causality, lifecycle, device
-    exclusivity, reservation caps), plus conservation when the header
-    carries the run's ledger (``meta.conservation``, as live streams do).
+    exclusivity, reservation caps), plus conservation and stretch when the
+    header carries the run's ledger (``meta.conservation`` and
+    ``meta.summary``, as live streams do).
     """
     spans, header = load_jsonl(path)
-    report = audit_spans(
-        spans, conservation=(header.get("meta") or {}).get("conservation"))
+    meta = header.get("meta") or {}
+    report = audit_spans(spans, conservation=meta.get("conservation"),
+                         summary=meta.get("summary"))
     if report.ok:
         print(f"{path}: clean ({report.checked})")
         return 0

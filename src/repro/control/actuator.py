@@ -86,11 +86,10 @@ class _LedgerFeed:
 
     def poll(self, estimator: WorkloadEstimator) -> int:
         """Feed completions recorded since the last tick."""
-        ledger = self.ledger
-        kinds, cpus, ios = ledger.kinds, ledger.cpu_demands, ledger.io_demands
-        start, end = self._ingested, len(kinds)
-        for i in range(start, end):
-            estimator.observe(kinds[i], cpus[i], ios[i])
+        start = end = self._ingested
+        for _, _, _, cpu, io, kind, _, _, _ in self.ledger.rows(start):
+            estimator.observe(kind, cpu, io)
+            end += 1
         self._ingested = end
         return end - start
 

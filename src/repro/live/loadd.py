@@ -36,6 +36,9 @@ from repro.live.protocol import decode_heartbeat
 from repro.sim.config import MonitorConfig
 
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 class LoadTable:
     """A master's view of every node's load, built from heartbeats.
 
@@ -100,18 +103,23 @@ class LoadTable:
         return True
 
     def observe_datagram(self, data: bytes, now: float) -> bool:
+        """Fold one datagram in; garbage, a field of the wrong type, or a
+        ``seq``/``active`` past int64 counts in ``rejected``."""
         msg = decode_heartbeat(data)
-        if msg is None:
-            self.rejected += 1
-            return False
         try:
-            return self.observe(int(msg["node"]), int(msg["seq"]),
-                                float(msg.get("cpu_idle", 1.0)),
-                                float(msg.get("disk_avail", 1.0)),
-                                int(msg.get("active", 0)), now)
-        except (TypeError, ValueError):
+            if msg is None:
+                raise ValueError("undecodable heartbeat")
+            seq, active = int(msg["seq"]), int(msg.get("active", 0))
+            if not (_INT64_MIN <= seq <= _INT64_MAX
+                    and _INT64_MIN <= active <= _INT64_MAX):
+                raise OverflowError("heartbeat field past int64")
+            node = int(msg["node"])
+            cpu_idle = float(msg.get("cpu_idle", 1.0))
+            disk_avail = float(msg.get("disk_avail", 1.0))
+        except (TypeError, ValueError, OverflowError):
             self.rejected += 1
             return False
+        return self.observe(node, seq, cpu_idle, disk_avail, active, now)
 
     def mark_dead(self, node_id: int) -> None:
         self.dead[node_id] = True

@@ -38,6 +38,9 @@ Outcomes land on the simulator's request ledger
 the measured ``(cpu, io)`` split, drops under ``denied`` and ``aborted``.
 A row's arrival and finish are the clock reads of its ``arrive`` and
 ``complete`` spans, so the auditor's stretch cross-check holds on live.
+``/control/stats`` reads the ledger's O(1)-memory
+:meth:`~repro.sim.metrics.MetricsCollector.summary`, and ``/control/spans``
+carries it in its header beside the conservation ledger.
 """
 
 from __future__ import annotations
@@ -371,23 +374,10 @@ class MasterServer:
 
     def stats(self) -> dict:
         res = self.policy.reservation
-        rep = self.metrics.report()
         drops = self.metrics.drops
-        metrics: dict = {
-            "count": rep.completed,
-            "denied": drops.get("denied", 0),
-            "aborted": drops.get("aborted", 0),
-            "remote": rep.remote_dispatches,
-            "dynamic_on_master": rep.master_dynamic,
-        }
-        for label, cls in (("overall", rep.overall), ("static", rep.static),
-                           ("dynamic", rep.dynamic)):
-            # JSON has no NaN: an empty class reads 0.
-            metrics[label] = {
-                "count": cls.count,
-                "mean_response": cls.mean_response if cls.count else 0.0,
-                "stretch": cls.stretch if cls.count else 0.0,
-            }
+        metrics = self.metrics.summary()
+        metrics["denied"] = drops.get("denied", 0)
+        metrics["aborted"] = drops.get("aborted", 0)
         return {
             "node": self.node_id,
             "now": self.clock.now,
@@ -534,7 +524,8 @@ class MasterServer:
                     line = await reader.readline()
                 except ValueError:      # longer than the reader's limit
                     await self._respond(writer, 400,
-                                        {"error": "request line too long"})
+                                        {"error": "request line too long"},
+                                        close=True)
                     break
                 if not line or line in (b"\r\n", b"\n"):
                     break
@@ -543,21 +534,23 @@ class MasterServer:
                         line.decode("latin-1").split(None, 2))
                 except ValueError:
                     await self._respond(writer, 400,
-                                        {"error": "bad request line"})
+                                        {"error": "bad request line"},
+                                        close=True)
                     break
                 headers = await self._read_headers(reader)
                 if headers is None:
                     await self._respond(writer, 431,
-                                        {"error": "header block too large"})
+                                        {"error": "header block too large"},
+                                        close=True)
                     break
                 close = any(h.lower().startswith(b"connection:")
                             and b"close" in h.lower() for h in headers)
                 if method.upper() != "GET":
                     await self._respond(writer, 400,
-                                        {"error": "GET only"})
+                                        {"error": "GET only"}, close=True)
                     break
                 status, payload, lines = await self._dispatch_http(target)
-                await self._respond(writer, status, payload, lines)
+                await self._respond(writer, status, payload, lines, close)
                 if close:
                     break
         except (ConnectionResetError, asyncio.IncompleteReadError):
@@ -604,7 +597,8 @@ class MasterServer:
             # A fixed copy: spans recorded while the body streams stay out.
             spans = self.tracer.spans.copy()
             meta = {"source": "repro.live", "node": self.node_id,
-                    "conservation": self.conservation()}
+                    "conservation": self.conservation(),
+                    "summary": self.metrics.summary()}
             return 200, None, lambda: iter_jsonl(spans, meta)
         if path == "/req":
             try:
@@ -640,27 +634,29 @@ class MasterServer:
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Optional[dict],
-                       lines: Optional[Callable[[], Iterable[str]]] = None
-                       ) -> None:
+                       lines: Optional[Callable[[], Iterable[str]]] = None,
+                       close: bool = False) -> None:
         """Write one response: ``payload`` as JSON, or else the text that
         ``lines()`` yields, a newline after each piece, one drain a piece.
-        ``lines`` is called twice: once to size the body."""
+        ``lines`` is called twice: once to size the body.  ``close`` says
+        the connection ends after this response."""
         if lines is None:
             body = json.dumps(payload, separators=(",", ":")).encode()
-            writer.write(self._head(status, "application/json", len(body))
-                         + body)
+            writer.write(self._head(status, "application/json", len(body),
+                                    close) + body)
         else:
             # JSON text is ASCII (it escapes the rest): a character a byte.
             size = sum(len(piece) + 1 for piece in lines())
-            writer.write(self._head(status, "text/plain", size))
+            writer.write(self._head(status, "text/plain", size, close))
             for piece in lines():
                 writer.write((piece + "\n").encode())
                 await writer.drain()
         await writer.drain()
 
     @staticmethod
-    def _head(status: int, ctype: str, size: int) -> bytes:
+    def _head(status: int, ctype: str, size: int, close: bool) -> bytes:
         return (f"HTTP/1.1 {status} {_HTTP_REASONS.get(status, 'OK')}\r\n"
                 f"Content-Type: {ctype}\r\n"
                 f"Content-Length: {size}\r\n"
-                f"Connection: keep-alive\r\n\r\n").encode("latin-1")
+                f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
+                ).encode("latin-1")

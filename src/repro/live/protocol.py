@@ -152,11 +152,18 @@ def encode_message(msg: dict) -> bytes:
         json.dumps(msg, separators=(",", ":")).encode("utf-8"))
 
 
+#: What ``json.loads`` raises on hostile bytes: ``ValueError`` covers bad
+#: text or JSON (``UnicodeDecodeError``, ``JSONDecodeError``) and integers
+#: too long to convert; nesting past the recursion limit raises
+#: ``RecursionError``.
+_UNDECODABLE = (ValueError, RecursionError)
+
+
 def decode_message(payload: bytes) -> dict:
     """Parse one frame payload into a message dict (validates ``op``)."""
     try:
         msg = json.loads(payload)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except _UNDECODABLE as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(msg, dict) or "op" not in msg:
         raise ProtocolError(f"frame is not an op message: {msg!r}")
@@ -223,7 +230,7 @@ def decode_heartbeat(data: bytes) -> Optional[dict]:
     """Parse one datagram; ``None`` for garbage (UDP is unauthenticated)."""
     try:
         msg = json.loads(data)
-    except (UnicodeDecodeError, json.JSONDecodeError):
+    except _UNDECODABLE:
         return None
     if not isinstance(msg, dict) or "node" not in msg or "seq" not in msg:
         return None

@@ -21,7 +21,8 @@ collected and checks, offline:
    (except during the emergency fallback when no slave is in service,
    which the policy reports as gate-not-applicable).
 5. **Metric agreement** — per-request response and stretch recomputed
-   from spans reproduce :meth:`MetricsCollector.report` exactly
+   from spans reproduce :meth:`MetricsCollector.report` (or, for a saved
+   live stream, the header's :meth:`MetricsCollector.summary`) exactly
    (count, mean response, mean stretch).
 6. **Control consistency** — when a control plane (repro.control) was
    attached, every dispatch must agree with the configuration in force
@@ -70,7 +71,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Relative tolerance for the span-vs-metrics stretch comparison.  The two
 #: paths consume bitwise-identical floats in identical order, so this only
-#: absorbs summation-order differences inside numpy itself.
+#: absorbs summation-order differences (numpy's pairwise sum against the
+#: ledger summary's running sum).
 _RTOL = 1e-9
 
 _DEVICE_KINDS = frozenset((CPU_ON, CPU_OFF, IO_ON, IO_OFF))
@@ -327,13 +329,14 @@ def _check_conservation(first_arrive: Dict[int, float], terminals: Dict[str, int
 
 def _check_stretch(first_arrive: Dict[int, float],
                    completions: List[Tuple[int, float, float]],
-                   metrics_report: "MetricsReport",
+                   completed: int, mean_response: float, stretch: float,
                    report: AuditReport) -> None:
-    """Per-request stretch recomputed from spans must match the collector."""
-    if metrics_report.completed != len(completions):
+    """Per-request stretch recomputed from spans must match the ledger's
+    completed count and overall mean response and stretch."""
+    if completed != len(completions):
         report.add("stretch",
                    f"{len(completions)} complete spans but the metrics "
-                   f"report counted {metrics_report.completed}")
+                   f"report counted {completed}")
         return
     if not completions:
         report.count("stretch_samples", 0)
@@ -350,15 +353,14 @@ def _check_stretch(first_arrive: Dict[int, float],
         dem[i] = demand
     mean_resp = float(resp.mean())
     mean_stretch = float(np.mean(resp / dem))
-    got = metrics_report.overall
-    if not np.isclose(mean_resp, got.mean_response, rtol=_RTOL, atol=0.0):
+    if not np.isclose(mean_resp, mean_response, rtol=_RTOL, atol=0.0):
         report.add("stretch",
                    f"mean response from spans {mean_resp!r} != metrics "
-                   f"{got.mean_response!r}")
-    if not np.isclose(mean_stretch, got.stretch, rtol=_RTOL, atol=0.0):
+                   f"{mean_response!r}")
+    if not np.isclose(mean_stretch, stretch, rtol=_RTOL, atol=0.0):
         report.add("stretch",
                    f"mean stretch from spans {mean_stretch!r} != metrics "
-                   f"{got.stretch!r}")
+                   f"{stretch!r}")
     report.count("stretch_samples", len(completions))
 
 
@@ -469,6 +471,7 @@ def audit_spans(
     conservation: Optional[Dict[str, int]] = None,
     metrics_report: Optional["MetricsReport"] = None,
     complete_run: bool = True,
+    summary: Optional[dict] = None,
 ) -> AuditReport:
     """Audit a span stream.
 
@@ -486,6 +489,10 @@ def audit_spans(
     complete_run:
         When true, devices still serving at the end of the stream are
         violations (the run was expected to drain).
+    summary:
+        A :meth:`MetricsCollector.summary` taken with the spans (live
+        span headers carry one): checked like ``metrics_report`` when
+        that is omitted.
     """
     spans = spans if isinstance(spans, list) else list(spans)   # six walks
     report = AuditReport()
@@ -498,7 +505,13 @@ def audit_spans(
     if conservation is not None:
         _check_conservation(first_arrive, terminals, conservation, report)
     if metrics_report is not None:
-        _check_stretch(first_arrive, completions, metrics_report, report)
+        overall = metrics_report.overall
+        _check_stretch(first_arrive, completions, metrics_report.completed,
+                       overall.mean_response, overall.stretch, report)
+    elif summary is not None:
+        overall = summary["overall"]
+        _check_stretch(first_arrive, completions, summary["count"],
+                       overall["mean_response"], overall["stretch"], report)
     return report
 
 

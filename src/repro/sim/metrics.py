@@ -8,8 +8,10 @@ interval between arrival at the cluster and the end of processing.
 
 from __future__ import annotations
 
+import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 import numpy as np
 
@@ -62,38 +64,89 @@ class MetricsReport:
         return self.master_dynamic / self.dynamic_total
 
 
+#: One ledger row, packed: arrival, finish, nominal demand, the ``(cpu,
+#: io)`` split, kind, node, remote, on-master.  A C double holds a Python
+#: float exactly, so every field reads back as it was recorded.
+_ROW = struct.Struct("=5dbi??")
+_ROW_DTYPE = np.dtype([("arrival", "f8"), ("finish", "f8"),
+                       ("demand", "f8"), ("cpu", "f8"), ("io", "f8"),
+                       ("kind", "i1"), ("node", "i4"), ("remote", "?"),
+                       ("on_master", "?")])
+assert _ROW_DTYPE.itemsize == _ROW.size
+_pack_row = _ROW.pack
+#: Rows :meth:`MetricsCollector.rows` copies at a time (~3 KB).
+_BLOCK_ROWS = 64
+#: Field name -> (byte offset in a row, reader of that field).
+_FIELDS = {name: (offset, struct.Struct("=" + dtype.char).unpack_from)
+           for name, (dtype, offset) in _ROW_DTYPE.fields.items()}
+
+
+class LedgerColumn(Sequence):
+    """A read-only view of one ledger field, in row order.
+
+    It reads the ledger's rows in place, so it sees rows recorded after
+    it was made.  Columns compare equal to columns with the same values;
+    compare one to a list as ``list(column)``.
+    """
+
+    __slots__ = ("_rows", "_unpack", "_offset")
+
+    def __init__(self, rows: bytearray, name: str) -> None:
+        self._rows = rows
+        self._offset, self._unpack = _FIELDS[name]
+
+    def __len__(self) -> int:
+        return len(self._rows) // _ROW.size
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("ledger row out of range")
+        return self._unpack(self._rows, index * _ROW.size + self._offset)[0]
+
+    def __iter__(self) -> Iterator:
+        rows, unpack, size = self._rows, self._unpack, _ROW.size
+        offset = self._offset
+        while offset < len(rows):
+            yield unpack(rows, offset)[0]
+            offset += size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LedgerColumn):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"LedgerColumn({list(self)!r})"
+
+
 class MetricsCollector:
     """The request ledger of both substrates: one row per completed
     request plus the count of every other outcome.  The simulated
     :class:`~repro.sim.cluster.Cluster` and the live
     :class:`~repro.live.master.MasterServer` both record here.
 
-    The record path is append-only Python lists (cheapest possible per
-    completion); conversion to numpy happens lazily in :meth:`snapshot`,
-    which caches the arrays until the next :meth:`record` dirties them.
-    Reports, availability summaries, and ad-hoc analysis all share the one
-    cached conversion instead of re-materialising the arrays per call.
+    A row is 47 packed bytes appended to one ``bytearray`` by one C call
+    (:data:`_ROW`).  The fields read back as :class:`LedgerColumn` views
+    (``arrivals``, ``finishes``, ...) or whole rows (:meth:`rows`);
+    :meth:`snapshot` copies them into numpy arrays, cached until the next
+    :meth:`record`.  :meth:`summary` keeps the per-class means in O(1)
+    memory for a long-running master; :meth:`report` is the full-window
+    path with warm-up/cut-off windows and percentiles.
     """
 
-    __slots__ = ("arrivals", "finishes", "demands", "cpu_demands",
-                 "io_demands", "kinds", "nodes", "remotes", "on_master",
-                 "remote_dispatches", "submitted", "drops", "lost",
-                 "_snapshot", "_snapshot_len")
+    __slots__ = ("_rows", "remote_dispatches", "submitted", "drops", "lost",
+                 "_snapshot", "_snapshot_len", "_folded", "_count", "_resp",
+                 "_stretch", "_master_dynamic")
 
     def __init__(self) -> None:
-        self.arrivals: List[float] = []
-        self.finishes: List[float] = []
-        #: Nominal demand of each request: the stretch denominator.
-        self.demands: List[float] = []
-        #: ``(cpu, io)`` split of each demand, nominal on the simulator and
-        #: measured on live: the workload estimator's input, not part of
-        #: :meth:`snapshot`.
-        self.cpu_demands: List[float] = []
-        self.io_demands: List[float] = []
-        self.kinds: List[int] = []
-        self.nodes: List[int] = []
-        self.remotes: List[bool] = []
-        self.on_master: List[bool] = []
+        self._rows = bytearray()
         self.remote_dispatches = 0
         #: Requests accepted into the run (completed or not).
         self.submitted = 0
@@ -103,6 +156,13 @@ class MetricsCollector:
         self.lost = 0
         self._snapshot: Optional[tuple] = None
         self._snapshot_len = -1
+        # summary(): rows folded so far, and per-kind (static, dynamic)
+        # running sums over them.
+        self._folded = 0
+        self._count = [0, 0]
+        self._resp = [0.0, 0.0]
+        self._stretch = [0.0, 0.0]
+        self._master_dynamic = 0
 
     def record(self, req: Request, arrival: float, finish: float, node: int,
                remote: bool, on_master: bool,
@@ -114,17 +174,65 @@ class MetricsCollector:
         nominal_io = req.io_demand
         if cpu <= 0.0 and io <= 0.0:
             cpu, io = nominal_cpu, nominal_io
-        self.arrivals.append(arrival)
-        self.finishes.append(finish)
-        self.demands.append(nominal_cpu + nominal_io)  # Request.demand
-        self.cpu_demands.append(cpu)
-        self.io_demands.append(io)
-        self.kinds.append(int(req.kind))
-        self.nodes.append(node)
-        self.remotes.append(remote)
-        self.on_master.append(on_master)
+        self._rows += _pack_row(arrival, finish,
+                                nominal_cpu + nominal_io,  # Request.demand
+                                cpu, io, req.kind, node, remote, on_master)
         if remote:
             self.remote_dispatches += 1
+
+    # -- columns ---------------------------------------------------------------
+
+    @property
+    def arrivals(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "arrival")
+
+    @property
+    def finishes(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "finish")
+
+    @property
+    def demands(self) -> LedgerColumn:
+        """Nominal demand of each request: the stretch denominator."""
+        return LedgerColumn(self._rows, "demand")
+
+    @property
+    def cpu_demands(self) -> LedgerColumn:
+        """The ``(cpu, io)`` split of each demand, nominal on the simulator
+        and measured on live: the workload estimator's input, not part of
+        :meth:`snapshot`."""
+        return LedgerColumn(self._rows, "cpu")
+
+    @property
+    def io_demands(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "io")
+
+    @property
+    def kinds(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "kind")
+
+    @property
+    def nodes(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "node")
+
+    @property
+    def remotes(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "remote")
+
+    @property
+    def on_master(self) -> LedgerColumn:
+        return LedgerColumn(self._rows, "on_master")
+
+    def rows(self, start: int = 0) -> Iterator[tuple]:
+        """Rows ``start..`` as ``(arrival, finish, demand, cpu, io, kind,
+        node, remote, on_master)`` tuples.  They are read a copied block
+        of :data:`_BLOCK_ROWS` at a time: a buffer view would pin the rows
+        against appends, and one copy of every row costs O(rows) memory."""
+        rows, step = self._rows, _BLOCK_ROWS * _ROW.size
+        offset = start * _ROW.size
+        while offset < len(rows):
+            block = rows[offset:offset + step]
+            offset += len(block)
+            yield from _ROW.iter_unpack(block)
 
     def drop(self, reason: str) -> None:
         """Count one request that failed for good, under ``reason``."""
@@ -142,7 +250,7 @@ class MetricsCollector:
         deliver it).  ``balance`` must be zero whenever it is read: a
         request is done, dropped, lost, held, or pending.
         """
-        completed, dropped = len(self.arrivals), self.total_dropped
+        completed, dropped = len(self), self.total_dropped
         return {"submitted": self.submitted, "completed": completed,
                 "dropped": dropped, "lost": self.lost,
                 "in_flight": in_flight, "pending": pending,
@@ -150,23 +258,65 @@ class MetricsCollector:
                             - in_flight - pending)}
 
     def __len__(self) -> int:
-        return len(self.arrivals)
+        return len(self._rows) // _ROW.size
 
     # -- reporting --------------------------------------------------------------
 
+    def summary(self) -> dict:
+        """Every row's count, mean response and stretch, overall and per
+        class, plus the remote and master-dynamic counts, as JSON values.
+
+        It folds only the rows recorded since the previous call into
+        running sums, so a poll costs O(new rows) time and O(1) memory.
+        An empty class reads 0 (JSON has no NaN).  The means agree with
+        :meth:`report` to rounding: the sums run in row order.
+        """
+        count, resp, stretch = self._count, self._resp, self._stretch
+        master_dynamic = self._master_dynamic
+        folded = self._folded
+        for arrival, finish, demand, _, _, kind, _, _, on_master in \
+                self.rows(folded):
+            response = finish - arrival
+            count[kind] += 1
+            resp[kind] += response
+            stretch[kind] += response / demand
+            if kind and on_master:
+                master_dynamic += 1
+            folded += 1
+        self._master_dynamic, self._folded = master_dynamic, folded
+
+        def cls(n: int, resp_sum: float, stretch_sum: float) -> dict:
+            return {"count": n,
+                    "mean_response": resp_sum / n if n else 0.0,
+                    "stretch": stretch_sum / n if n else 0.0}
+
+        static, dynamic = int(RequestKind.STATIC), int(RequestKind.DYNAMIC)
+        return {
+            "count": folded,
+            "remote": self.remote_dispatches,
+            "dynamic_on_master": master_dynamic,
+            "overall": cls(folded, resp[static] + resp[dynamic],
+                           stretch[static] + stretch[dynamic]),
+            "static": cls(count[static], resp[static], stretch[static]),
+            "dynamic": cls(count[dynamic], resp[dynamic], stretch[dynamic]),
+        }
+
     def snapshot(self) -> tuple:
         """``(arrivals, finishes, demands, kinds, remotes, on_master)`` as
-        numpy arrays, cached until new samples arrive."""
-        n = len(self.arrivals)
+        numpy arrays, cached until new samples arrive.  The arrays are
+        copies: a view would pin the row buffer against appends."""
+        n = len(self)
         if self._snapshot is None or self._snapshot_len != n:
+            rows = np.frombuffer(self._rows, dtype=_ROW_DTYPE)
             self._snapshot = (
-                np.asarray(self.arrivals),
-                np.asarray(self.finishes),
-                np.asarray(self.demands),
-                np.asarray(self.kinds),
-                np.asarray(self.remotes, dtype=bool),
-                np.asarray(self.on_master, dtype=bool),
+                rows["arrival"].copy(),
+                rows["finish"].copy(),
+                rows["demand"].copy(),
+                rows["kind"].astype(np.int_),
+                rows["remote"].copy(),
+                rows["on_master"].copy(),
             )
+            del rows        # release the buffer export before any append
             self._snapshot_len = n
         return self._snapshot
 

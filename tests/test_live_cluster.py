@@ -21,6 +21,7 @@ from repro.live.master import MasterServer
 from repro.live.validate import make_validation_trace
 from repro.obs.audit import audit_spans
 from repro.obs.trace import ABORT, DROP, START
+from repro.sim.metrics import MetricsCollector
 
 from tests.conftest import make_cgi, make_static
 
@@ -90,8 +91,9 @@ def test_cancelled_request_is_aborted_and_unwound():
 
 def test_trace_audit_reconciles_the_header_ledger(tmp_path, capsys):
     """``repro trace --audit`` checks a /control/spans stream against the
-    ledger in its header: the saved stream is clean, and the same stream
-    under a header that miscounts completions fails."""
+    ledger in its header: the saved stream is clean with the stretch check
+    run, and the same stream under a header that skews the mean stretch or
+    miscounts completions fails."""
 
     async def scenario():
         master = MasterServer(node_id=0, num_nodes=1, workers=2)
@@ -110,9 +112,21 @@ def test_trace_audit_reconciles_the_header_ledger(tmp_path, capsys):
     header, *spans = body.splitlines()
     meta = json.loads(header)
     assert meta["meta"]["conservation"]["completed"] == 3
+    assert meta["meta"]["summary"]["count"] == 3
     clean = tmp_path / "clean.jsonl"
     clean.write_text(body)
     assert main(["trace", "--audit", str(clean)]) == 0
+    # The header's ledger summary arms the stretch cross-check.
+    assert "'stretch_samples': 3" in capsys.readouterr().out
+
+    overall = meta["meta"]["summary"]["overall"]
+    stretch = overall["stretch"]
+    overall["stretch"] = stretch * 1.01
+    skewed = tmp_path / "skewed.jsonl"
+    skewed.write_text("\n".join([json.dumps(meta), *spans]) + "\n")
+    assert main(["trace", "--audit", str(skewed)]) == 1
+    assert "mean stretch from spans" in capsys.readouterr().err
+    overall["stretch"] = stretch
 
     meta["meta"]["conservation"]["completed"] = 2
     meta["meta"]["conservation"]["in_flight"] = 1
@@ -120,6 +134,77 @@ def test_trace_audit_reconciles_the_header_ledger(tmp_path, capsys):
     tampered.write_text("\n".join([json.dumps(meta), *spans]) + "\n")
     assert main(["trace", "--audit", str(tampered)]) == 1
     assert "conservation" in capsys.readouterr().err
+
+
+def _assert_stats_match_report(metrics: dict, report) -> None:
+    for label, cls in (("overall", report.overall),
+                       ("static", report.static),
+                       ("dynamic", report.dynamic)):
+        got = metrics[label]
+        assert got["count"] == cls.count > 0
+        assert got["mean_response"] == pytest.approx(cls.mean_response,
+                                                     rel=1e-9, abs=0.0)
+        assert got["stretch"] == pytest.approx(cls.stretch, rel=1e-9,
+                                               abs=0.0)
+    assert metrics["count"] == report.completed
+    assert metrics["remote"] == report.remote_dispatches
+    assert metrics["dynamic_on_master"] == report.master_dynamic
+
+
+def test_stats_payload_matches_the_ledger(monkeypatch):
+    """``stats()["metrics"]`` agrees with ``metrics.report()`` and the
+    ledger's drop counts after a run with denied and aborted requests, and
+    a later poll folds only the rows recorded since the previous one."""
+    folds = []
+    rows = MetricsCollector.rows
+
+    def spy(self, start=0):
+        folds.append(start)
+        return rows(self, start)
+
+    monkeypatch.setattr(MetricsCollector, "rows", spy)
+
+    async def serve(master, ids):
+        for i in ids:
+            req = (make_cgi(req_id=i, cpu=0.0005, io=0.0) if i % 2
+                   else make_static(req_id=i, cpu=0.0002))
+            await master.serve_request(req)
+
+    async def scenario():
+        # Node 1 heartbeats but has no CGI connection: dynamics routed
+        # there are denied.
+        master = MasterServer(node_id=0, num_nodes=2, workers=2)
+        await master.start()
+        try:
+            for seq in range(1, 6):
+                master.table.observe(1, seq, 1.0, 1.0, 0, master.clock.now)
+            await serve(master, range(40))
+            task = asyncio.get_running_loop().create_task(
+                master.serve_request(make_static(req_id=99, cpu=0.5)))
+            while not any(span[1] == START and span[2] == 99
+                          for span in master.tracer.spans):
+                await asyncio.sleep(0.01)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            first = (master.stats(), master.metrics.report(),
+                     dict(master.metrics.drops), len(master.metrics))
+            await serve(master, range(100, 130))
+            second = (master.stats(), master.metrics.report(),
+                      dict(master.metrics.drops), len(master.metrics))
+        finally:
+            await master.stop()
+        return first, second
+
+    first, second = asyncio.run(scenario())
+    for stats, report, drops, _ in (first, second):
+        metrics = stats["metrics"]
+        _assert_stats_match_report(metrics, report)
+        assert metrics["denied"] == drops["denied"] > 0
+        assert metrics["aborted"] == drops["aborted"] == 1
+        assert stats["conservation"]["balance"] == 0
+    assert second[0]["metrics"]["count"] > first[0]["metrics"]["count"]
+    assert folds == [0, first[3]]
 
 
 @pytest.mark.integration

@@ -1,8 +1,9 @@
 """Hostile input against the live master's HTTP front end.
 
 An over-long request line, too many header lines or too many header
-bytes each get a 4xx and a closed connection, with no exception left to
-the event loop, and the master keeps serving fresh connections.
+bytes each get a 4xx that says ``Connection: close`` and a closed
+connection, with no exception left to the event loop, and the master
+keeps serving fresh connections.
 """
 
 from __future__ import annotations
@@ -15,30 +16,34 @@ from repro.live.master import MAX_HEADER_BYTES, MAX_HEADER_LINES, MasterServer
 
 
 async def _read_response(reader: asyncio.StreamReader):
-    """(status, body) of one response on a kept-alive connection."""
+    """(status, body, Connection header) of one response."""
     status = int((await reader.readline()).split()[1])
-    length = 0
+    length, connection = 0, None
     while (line := await reader.readline()) not in (b"\r\n", b""):
         name, _, value = line.partition(b":")
         if name.lower() == b"content-length":
             length = int(value)
-    return status, await reader.readexactly(length)
+        elif name.lower() == b"connection":
+            connection = value.strip().decode()
+    return status, await reader.readexactly(length), connection
 
 
 async def _send(master: MasterServer, data: bytes):
-    """Send ``data`` on a fresh connection: (status of the first
-    response, whatever arrives after it until the connection closes)."""
+    """Send ``data`` on a fresh connection: (status and Connection header
+    of the first response, whatever arrives after it until the connection
+    closes)."""
     reader, writer = await asyncio.open_connection(master.host,
                                                    master.http_port)
     try:
         writer.write(data)
         await writer.drain()
-        status, _ = await asyncio.wait_for(_read_response(reader), 10.0)
+        status, _, connection = await asyncio.wait_for(
+            _read_response(reader), 10.0)
         try:
             rest = await asyncio.wait_for(reader.read(), 10.0)
         except ConnectionResetError:        # the unread request's tail
             rest = b""
-        return status, rest
+        return status, connection, rest
     finally:
         writer.close()
         try:
@@ -48,7 +53,8 @@ async def _send(master: MasterServer, data: bytes):
 
 
 async def _keep_alive_statuses(master: MasterServer):
-    """Two GETs on one fresh keep-alive connection."""
+    """Two GETs on one fresh keep-alive connection: (status, Connection
+    header) of each."""
     reader, writer = await asyncio.open_connection(master.host,
                                                    master.http_port)
     try:
@@ -56,8 +62,9 @@ async def _keep_alive_statuses(master: MasterServer):
         for _ in range(2):
             writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             await writer.drain()
-            status, _ = await asyncio.wait_for(_read_response(reader), 10.0)
-            statuses.append(status)
+            status, _, connection = await asyncio.wait_for(
+                _read_response(reader), 10.0)
+            statuses.append((status, connection))
         return statuses
     finally:
         writer.close()
@@ -66,7 +73,8 @@ async def _keep_alive_statuses(master: MasterServer):
 
 def _run_hostile(data: bytes):
     """Boot a one-node master, send ``data``, then a normal keep-alive
-    exchange; returns (status, rest, keep-alive statuses, loop errors)."""
+    exchange; returns (status, Connection header, rest, keep-alive
+    statuses, loop errors)."""
 
     async def scenario():
         errors = []
@@ -76,11 +84,11 @@ def _run_hostile(data: bytes):
                               traced=False)
         await master.start()
         try:
-            status, rest = await _send(master, data)
+            status, connection, rest = await _send(master, data)
             kept = await _keep_alive_statuses(master)
         finally:
             await master.stop()
-        return status, rest, kept, errors
+        return status, connection, rest, kept, errors
 
     return asyncio.run(scenario())
 
@@ -92,10 +100,11 @@ def _request(headers):
 
 def test_over_long_request_line_gets_400_and_a_closed_connection():
     data = b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n"
-    status, rest, kept, errors = _run_hostile(data)
+    status, connection, rest, kept, errors = _run_hostile(data)
     assert status == 400 and rest == b""
+    assert connection == "close"
     assert errors == []
-    assert kept == [200, 200]
+    assert kept == [(200, "keep-alive")] * 2
 
 
 @pytest.mark.parametrize("headers", [
@@ -104,10 +113,11 @@ def test_over_long_request_line_gets_400_and_a_closed_connection():
     [b"X-Long: " + b"v" * 100_000],
 ], ids=["1000 lines", "too many bytes", "one over-long line"])
 def test_header_block_past_a_cap_gets_431_and_a_closed_connection(headers):
-    status, rest, kept, errors = _run_hostile(_request(headers))
+    status, connection, rest, kept, errors = _run_hostile(_request(headers))
     assert status == 431 and rest == b""
+    assert connection == "close"
     assert errors == []
-    assert kept == [200, 200]
+    assert kept == [(200, "keep-alive")] * 2
 
 
 def test_header_block_at_the_caps_is_served():
@@ -115,7 +125,23 @@ def test_header_block_at_the_caps_is_served():
     headers.append(b"X-Pad: " + b"v" * (
         MAX_HEADER_BYTES - sum(len(h) + 2 for h in headers) - 9))
     assert sum(len(h) + 2 for h in headers) == MAX_HEADER_BYTES
-    status, rest, kept, errors = _run_hostile(
+    status, connection, rest, kept, errors = _run_hostile(
         _request(headers) + _request([b"Connection: close"]))
-    assert status == 200 and rest.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert status == 200 and connection == "keep-alive"
+    # The second request asked for close: its reply says so, then EOF.
+    assert rest.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert b"\r\nConnection: close\r\n" in rest
+    assert rest.endswith(b"}")
     assert errors == []
+
+
+@pytest.mark.parametrize("data", [
+    b"NOT-A-REQUEST-LINE\r\n\r\n",
+    b"POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+], ids=["bad request line", "not GET"])
+def test_refused_request_gets_400_with_connection_close(data):
+    status, connection, rest, kept, errors = _run_hostile(data)
+    assert status == 400 and rest == b""
+    assert connection == "close"
+    assert errors == []
+    assert kept == [(200, "keep-alive")] * 2

@@ -222,10 +222,10 @@ class TestLedgerContract:
         mc.record(measured, 1.0, 1.06, 2, True, False, cpu=0.015, io=0.02)
         unmeasured = make_cgi(req_id=1, arrival=1.0, cpu=0.02, io=0.01)
         mc.record(unmeasured, 1.0, 1.03, 2, True, False)
-        assert mc.demands == [pytest.approx(0.02), pytest.approx(0.03)]
-        assert mc.cpu_demands == [0.015, 0.02]
-        assert mc.io_demands == [0.02, 0.01]
-        assert mc.nodes == [2, 2]
+        assert list(mc.demands) == [pytest.approx(0.02), pytest.approx(0.03)]
+        assert list(mc.cpu_demands) == [0.015, 0.02]
+        assert list(mc.io_demands) == [0.02, 0.01]
+        assert list(mc.nodes) == [2, 2]
         rep = mc.report()
         # Stretch divides by the nominal demand, not the measured split.
         assert rep.dynamic.stretch == pytest.approx((3.0 + 1.0) / 2)
@@ -271,3 +271,107 @@ class TestLedgerContract:
             assert est.seen == [(1, 0.025, 0.012), (0, 0.001, 0.0)]
         finally:
             master.pool.shutdown()
+
+
+def _random_ledger(n, seed=7):
+    """A collector with ``n`` rows of mixed kinds, nodes and flags."""
+    import random
+
+    rng = random.Random(seed)
+    mc = MetricsCollector()
+    for i in range(n):
+        arrival = rng.uniform(0.0, 100.0)
+        if i % 3:
+            req = make_static(req_id=i, arrival=arrival,
+                              cpu=rng.uniform(1e-4, 1e-2))
+        else:
+            req = make_cgi(req_id=i, arrival=arrival,
+                           cpu=rng.uniform(1e-3, 0.1),
+                           io=rng.uniform(0.0, 0.05))
+        mc.record(req, arrival, arrival + rng.expovariate(20.0),
+                  rng.randrange(8), rng.random() < 0.3, rng.random() < 0.4,
+                  cpu=rng.choice([0.0, rng.uniform(1e-4, 0.1)]))
+    return mc
+
+
+class TestCompactLedger:
+    """Packed rows read back exactly, through every view of the ledger."""
+
+    def test_columns_read_back_what_was_recorded(self):
+        mc = MetricsCollector()
+        rows = [(make_static(req_id=0, arrival=0.1, cpu=0.001), 0.1,
+                 0.25, 3, False, True),
+                (make_cgi(req_id=1, arrival=0.2, cpu=0.02, io=0.01), 0.2,
+                 0.5, 1, True, False)]
+        for req, arrival, finish, node, remote, on_master in rows:
+            mc.record(req, arrival, finish, node, remote, on_master)
+        assert len(mc) == len(mc.finishes) == 2
+        assert list(mc.arrivals) == [0.1, 0.2]
+        assert mc.finishes[0] == 0.25 and mc.finishes[-1] == 0.5
+        assert mc.finishes[:1] == [0.25]
+        assert list(mc.demands) == [0.001 + 0.0, 0.02 + 0.01]
+        assert list(mc.kinds) == [0, 1] and mc.kinds.index(1) == 1
+        assert list(mc.nodes) == [3, 1]
+        assert list(mc.remotes) == [False, True]
+        assert list(mc.on_master) == [True, False]
+        assert list(zip(mc.kinds, mc.cpu_demands, mc.io_demands)) == [
+            (0, 0.001, 0.0), (1, 0.02, 0.01)]
+        with pytest.raises(IndexError):
+            mc.finishes[2]
+        # A column is a live view: it sees rows recorded after it.
+        finishes = mc.finishes
+        record_finished(mc, make_static(req_id=2, arrival=1.0), 1.5,
+                        remote=False, on_master=True)
+        assert len(finishes) == 3 and finishes[2] == 1.5
+
+    def test_column_equality_is_by_value(self):
+        a, b = _random_ledger(50), _random_ledger(50)
+        assert a.finishes == b.finishes and a.nodes == b.nodes
+        assert a.finishes != _random_ledger(50, seed=8).finishes
+
+    def test_snapshot_copies_exact_values_and_leaves_appends_free(self):
+        mc = _random_ledger(300)
+        arr, fin, dem, kin, rem, mas = mc.snapshot()
+        assert arr.tolist() == list(mc.arrivals)
+        assert fin.tolist() == list(mc.finishes)
+        assert dem.tolist() == list(mc.demands)
+        assert kin.tolist() == list(mc.kinds) and kin.dtype == int
+        assert rem.tolist() == list(mc.remotes) and rem.dtype == bool
+        assert mas.tolist() == list(mc.on_master)
+        record_finished(mc, make_static(req_id=9, arrival=1.0), 2.0,
+                        remote=False, on_master=True)
+        assert len(mc.snapshot()[0]) == 301
+
+    def test_summary_agrees_with_report(self):
+        mc = _random_ledger(2000)
+        summary, report = mc.summary(), mc.report()
+        for label in ("overall", "static", "dynamic"):
+            got, want = summary[label], getattr(report, label)
+            assert got["count"] == want.count
+            assert got["mean_response"] == pytest.approx(
+                want.mean_response, rel=1e-12, abs=0.0)
+            assert got["stretch"] == pytest.approx(want.stretch, rel=1e-12,
+                                                   abs=0.0)
+        assert summary["count"] == report.completed == 2000
+        assert summary["remote"] == report.remote_dispatches
+        assert summary["dynamic_on_master"] == report.master_dynamic
+
+    def test_summary_folds_incrementally(self):
+        whole = _random_ledger(500).summary()
+        mc = MetricsCollector()
+        source = _random_ledger(500)
+        for i, row in enumerate(source.rows()):
+            arrival, finish, demand, cpu, io, kind, node, remote, mas = row
+            req = (make_cgi(req_id=i, arrival=arrival, cpu=demand, io=0.0)
+                   if kind else make_static(req_id=i, arrival=arrival,
+                                            cpu=demand))
+            mc.record(req, arrival, finish, node, remote, mas, cpu, io)
+            if i % 97 == 0:
+                mc.summary()
+        assert mc.summary() == whole
+
+    def test_empty_summary_reads_zero(self):
+        empty = {"count": 0, "mean_response": 0.0, "stretch": 0.0}
+        assert MetricsCollector().summary() == {
+            "count": 0, "remote": 0, "dynamic_on_master": 0,
+            "overall": empty, "static": empty, "dynamic": empty}
