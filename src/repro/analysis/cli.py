@@ -550,11 +550,12 @@ def _control_live(args: argparse.Namespace, cfg) -> int:
                 await loop.stop()
             spans = (list(cluster.master.tracer.spans)
                      if cluster.master.tracer is not None else [])
+            metrics = cluster.master.metrics
             return (result, spans, loop.controller,
-                    cluster.master.conservation(),
-                    cluster.master.metrics.report())
+                    cluster.master.conservation(), metrics.report(),
+                    metrics.summary())
 
-    result, spans, controller, ledger, metrics = asyncio.run(_run())
+    result, spans, controller, ledger, metrics, summary = asyncio.run(_run())
     rows = [[k, f"{v:.4f}" if isinstance(v, float) else v]
             for k, v in result.summary().items()]
     rows += [["control ticks", controller.ticks],
@@ -572,6 +573,7 @@ def _control_live(args: argparse.Namespace, cfg) -> int:
             "mode": "control-live", "trace": args.trace,
             "slaves": args.slaves, "dry_run": args.dry_run,
             "audit_ok": report.ok, "conservation": ledger,
+            "summary": summary,
         })
         print(f"wrote live span stream to {args.spans}")
     if not report.ok:

@@ -46,15 +46,12 @@ def exponential_trace(lam: float, mean_demand: float, duration: float,
     n = max(1, int(round(lam * duration)))
     gaps = rng.exponential(1.0 / lam, size=n)
     arrivals = np.cumsum(gaps)
-    demands = rng.exponential(mean_demand, size=n)
-    return [
-        Request(req_id=start_id + i, arrival_time=float(arrivals[i]),
-                kind=kind, cpu_demand=float(max(demands[i], 1e-7)),
-                io_demand=0.0, mem_pages=0,
-                type_key="static" if kind is RequestKind.STATIC
-                else "cgi:exp")
-        for i in range(n)
-    ]
+    demands = np.maximum(rng.exponential(mean_demand, size=n), 1e-7)
+    type_key = "static" if kind is RequestKind.STATIC else "cgi:exp"
+    return [Request(req_id, arrival, kind, demand, 0.0, 0, 0, type_key)
+            for req_id, arrival, demand in zip(
+                range(start_id, start_id + n), arrivals.tolist(),
+                demands.tolist())]
 
 
 @dataclass(slots=True)

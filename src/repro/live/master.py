@@ -93,6 +93,12 @@ class RemoteCall:
         self.started = False
 
 
+#: What converting a hostile frame's fields raises: an unhashable ``id``
+#: (``TypeError``), a non-numeric ``cpu``/``io``/``seq`` (``TypeError``,
+#: ``ValueError``) or one out of range (``OverflowError``).
+_MALFORMED = (TypeError, ValueError, OverflowError)
+
+
 class PeerConnection:
     """Persistent framed-TCP channel from a master to one executing node.
 
@@ -116,6 +122,9 @@ class PeerConnection:
         self._reader_task: Optional[asyncio.Task] = None
         self.submitted = 0
         self.completed = 0
+        #: Frames refused for a field that does not convert: dropped, or
+        #: for a ``done`` frame, failing that call alone.
+        self.malformed = 0
 
     @property
     def connected(self) -> bool:
@@ -164,9 +173,19 @@ class PeerConnection:
                     # Control-plane ROLE frame acknowledged by the node
                     # (not request-scoped, so handled before the
                     # per-request call lookup).
-                    master._on_role_ack(self.node_id, msg)
+                    try:
+                        seq = int(msg.get("seq", 0))
+                    except _MALFORMED:
+                        self.malformed += 1
+                        continue
+                    master._on_role_ack(self.node_id,
+                                        str(msg.get("role", "")), seq)
                     continue
-                call = self.pending.get(msg.get("id", -1))
+                try:
+                    call = self.pending.get(msg.get("id", -1))
+                except TypeError:           # an unhashable id
+                    self.malformed += 1
+                    continue
                 if call is None:
                     continue
                 if op == "admit":
@@ -178,11 +197,19 @@ class PeerConnection:
                     master._record(START, call.req_id, self.node_id, (1,))
                 elif op == "done":
                     self.pending.pop(call.req_id, None)
+                    try:
+                        used = (float(msg.get("cpu", 0.0)),
+                                float(msg.get("io", 0.0)))
+                    except _MALFORMED:
+                        # Fail this call alone; the channel keeps serving.
+                        self.malformed += 1
+                        if not call.future.done():
+                            call.future.set_exception(
+                                PeerError("malformed done frame"))
+                        continue
                     self.completed += 1
                     if not call.future.done():
-                        call.future.set_result(
-                            (float(msg.get("cpu", 0.0)),
-                             float(msg.get("io", 0.0))))
+                        call.future.set_result(used)
                 elif op == "error":
                     self.pending.pop(call.req_id, None)
                     if not call.future.done():
@@ -359,12 +386,10 @@ class MasterServer:
             self.tracer.spans.append((self.clock.now if t is None else t,
                                       kind, req_id, node_id, data))
 
-    def _on_role_ack(self, node_id: int, msg: dict) -> None:
+    def _on_role_ack(self, node_id: int, role: str, seq: int) -> None:
         """A node acknowledged a control-plane ROLE frame."""
-        self.role_acks.append((node_id, str(msg.get("role", ""))))
-        self._record(CONTROL, -1, node_id,
-                     ("role_ack", node_id, str(msg.get("role", "")),
-                      int(msg.get("seq", 0))))
+        self.role_acks.append((node_id, role))
+        self._record(CONTROL, -1, node_id, ("role_ack", node_id, role, seq))
 
     def conservation(self) -> Dict[str, int]:
         """The ledger's balance (for ``audit_spans``): running handlers are

@@ -236,6 +236,17 @@ class CGIService:
                     break
                 op = msg.get("op")
                 if op == "cgi":
+                    if not isinstance(msg.get("id"), int):
+                        # The master numbers every call; without an id
+                        # no reply could reach it.  Refuse this frame
+                        # and keep serving the connection.
+                        async with lock:
+                            protocol.send_message(
+                                writer, {"op": "error", "id": None,
+                                         "reason": "cgi frame without an "
+                                                   "integer id"})
+                            await writer.drain()
+                        continue
                     protocol.send_message(
                         writer, {"op": "admit", "id": msg["id"]})
                     task = asyncio.get_running_loop().create_task(

@@ -17,6 +17,7 @@ the trace's CGI profile(s).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from repro.workload.arrival import ArrivalKind, make_arrivals
 from repro.workload.cgi_profiles import get_profile
 from repro.workload.request import Request, RequestKind
-from repro.workload.specweb import MEAN_FILE_SIZE, closest_file
+from repro.workload.specweb import MEAN_FILE_SIZE, closest_files
 from repro.workload.traces import TraceSpec
 
 #: Lognormal sigma used to spread logged response sizes around the trace
@@ -115,6 +116,32 @@ def generate_trace(
     return requests
 
 
+#: Rows turned into Python objects per step of :func:`_place`: bounds the
+#: temporary lists a trace is built from to a few hundred KB.
+_CHUNK = 4096
+
+
+def _place(out: List[Request], ids: np.ndarray, arrivals: np.ndarray,
+           *fields) -> None:
+    """Build the requests ``ids`` into ``out`` at those positions.
+
+    ``ids`` are also the requests' ``req_id`` and index the trace's
+    ``arrivals``.  Each further field, in :class:`Request` order, is either
+    a numpy column aligned with ``ids`` or one value shared by all of them.
+    Columns are converted with ``tolist``, so requests hold plain
+    ``int``/``float`` values, never numpy scalars, and each request is
+    built positionally in one pass.
+    """
+    for lo in range(0, ids.size, _CHUNK):
+        rows = slice(lo, lo + _CHUNK)
+        req_ids = ids[rows].tolist()
+        columns = [f[rows].tolist() if isinstance(f, np.ndarray)
+                   else repeat(f) for f in fields]
+        built = map(Request, req_ids, arrivals[ids[rows]].tolist(), *columns)
+        for i, req in zip(req_ids, built):
+            out[i] = req
+
+
 def _assign_cache_keys(requests: List[Request], is_cgi: np.ndarray,
                        fraction: float, distinct: int, zipf_s: float,
                        rng: np.random.Generator) -> None:
@@ -126,16 +153,10 @@ def _assign_cache_keys(requests: List[Request], is_cgi: np.ndarray,
     weights /= weights.sum()
     cacheable = rng.random(idx.size) < fraction
     queries = rng.choice(distinct, size=idx.size, p=weights)
-    for j, i in enumerate(idx):
-        if cacheable[j]:
-            req = requests[i]
-            requests[i] = Request(
-                req_id=req.req_id, arrival_time=req.arrival_time,
-                kind=req.kind, cpu_demand=req.cpu_demand,
-                io_demand=req.io_demand, mem_pages=req.mem_pages,
-                size_bytes=req.size_bytes, type_key=req.type_key,
-                cache_key=f"{req.type_key}?q={queries[j]}",
-            )
+    for i, query in zip(idx[cacheable].tolist(),
+                        queries[cacheable].tolist()):
+        req = requests[i]
+        req.cache_key = f"{req.type_key}?q={query}"
 
 
 def _fill_static(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
@@ -146,7 +167,7 @@ def _fill_static(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
         return
     # Logged sizes around the trace mean, snapped to the SPECweb96 set.
     logged = _lognormal_with_mean(spec.html_size, _SIZE_SIGMA, idx.size, rng)
-    served = np.array([closest_file(int(s)) for s in logged], dtype=np.int64)
+    served = closest_files(logged.astype(np.int64))
     # Per-request demand = fixed overhead (parse, syscalls, headers) plus a
     # size-proportional transfer part; server benchmarks are dominated by
     # the fixed part for small files.  Calibrated so the mean is 1/mu_h.
@@ -157,17 +178,8 @@ def _fill_static(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
     # Static service is pure CPU (parse, cache lookup, send): the file set
     # is cache-resident on an unloaded node.  Cache-miss disk reads are a
     # load effect and are added by the node at execution time.
-    for i, size, d in zip(idx, served, demands):
-        out[i] = Request(
-            req_id=int(i),
-            arrival_time=float(arrivals[i]),
-            kind=RequestKind.STATIC,
-            cpu_demand=float(d),
-            io_demand=0.0,
-            mem_pages=_STATIC_MEM_PAGES,
-            size_bytes=int(size),
-            type_key="static",
-        )
+    _place(out, idx, arrivals, RequestKind.STATIC, demands, 0.0,
+           _STATIC_MEM_PAGES, served, "static")
 
 
 def _fill_dynamic(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
@@ -189,18 +201,9 @@ def _fill_dynamic(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
         demands = profile.sample_demand(mean_demand, sel.size, rng)
         ws = profile.sample_w(sel.size, rng)
         pages = profile.sample_mem_pages(sel.size, rng)
-        for j, d, w, pg in zip(sel, demands, ws, pages):
-            i = idx[j]
-            out[i] = Request(
-                req_id=int(i),
-                arrival_time=float(arrivals[i]),
-                kind=RequestKind.DYNAMIC,
-                cpu_demand=float(d * w),
-                io_demand=float(d * (1.0 - w)),
-                mem_pages=int(pg),
-                size_bytes=int(sizes[j]),
-                type_key=profile.type_key,
-            )
+        _place(out, idx[sel], arrivals, RequestKind.DYNAMIC, demands * ws,
+               demands * (1.0 - ws), pages, sizes[sel].astype(np.int64),
+               profile.type_key)
 
 
 def trace_statistics(requests: Sequence[Request]) -> dict:

@@ -127,17 +127,8 @@ def jitter_demands(requests: Sequence[Request], sigma: float,
         return list(requests)
     rng = np.random.default_rng(seed)
     mu = -sigma ** 2 / 2.0
-    out: List[Request] = []
-    for req in requests:
-        f = float(rng.lognormal(mu, sigma))
-        out.append(Request(
-            req_id=req.req_id,
-            arrival_time=req.arrival_time,
-            kind=req.kind,
-            cpu_demand=req.cpu_demand * f,
-            io_demand=req.io_demand * f,
-            mem_pages=req.mem_pages,
-            size_bytes=req.size_bytes,
-            type_key=req.type_key,
-        ))
-    return out
+    factors = rng.lognormal(mu, sigma, size=len(requests)).tolist()
+    return [Request(req.req_id, req.arrival_time, req.kind,
+                    req.cpu_demand * f, req.io_demand * f, req.mem_pages,
+                    req.size_bytes, req.type_key)
+            for req, f in zip(requests, factors)]

@@ -19,7 +19,6 @@ sizes; the paper's "40 representative files" refers to the same mix.)
 
 from __future__ import annotations
 
-import bisect
 from typing import Sequence
 
 import numpy as np
@@ -44,23 +43,33 @@ MEAN_FILE_SIZE: float = float(
 )
 
 
+def closest_files(sizes_bytes, sizes: Sequence[int] = FILE_SIZES
+                  ) -> np.ndarray:
+    """Map every logged response size to the nearest fileset size.
+
+    ``sizes`` is ascending; a size exactly halfway between two files maps
+    to the smaller one.
+
+    >>> closest_files([7400, 0, 7900, 10**9]).tolist()
+    [7168, 102, 8192, 921600]
+    """
+    logged = np.asarray(sizes_bytes)
+    if (logged < 0).any():
+        raise ValueError("size must be >= 0")
+    table = np.asarray(sizes)
+    # A size at or below the midpoint of two neighbours maps to the smaller.
+    return table[np.searchsorted((table[:-1] + table[1:]) / 2, logged)]
+
+
 def closest_file(size_bytes: int, sizes: Sequence[int] = FILE_SIZES) -> int:
-    """Map an arbitrary logged response size to the nearest fileset size.
+    """Map one logged response size to the nearest fileset size.
 
     >>> closest_file(7400)
     7168
     >>> closest_file(0)
     102
     """
-    if size_bytes < 0:
-        raise ValueError("size must be >= 0")
-    idx = bisect.bisect_left(sizes, size_bytes)
-    if idx == 0:
-        return sizes[0]
-    if idx == len(sizes):
-        return sizes[-1]
-    before, after = sizes[idx - 1], sizes[idx]
-    return before if size_bytes - before <= after - size_bytes else after
+    return closest_files([size_bytes], sizes)[0].item()
 
 
 def sample_files(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,9 +5,11 @@ full loopback cluster with the controller attached."""
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.control import ControlConfig, EstimatorConfig, LiveControlLoop
 from repro.live import protocol
 from repro.live.cluster import LiveCluster, LiveClusterConfig
@@ -135,3 +137,22 @@ def test_loopback_cluster_with_controller():
     report = audit_spans(master.tracer.spans, conservation=ledger,
                          metrics_report=metrics)
     assert report.ok, report.render()
+
+
+@pytest.mark.integration
+def test_saved_live_control_stream_arms_the_stretch_audit(tmp_path, capsys):
+    """``repro control --live --spans`` saves the master's ledger summary
+    beside its conservation ledger, so ``repro trace --audit`` on the file
+    recomputes stretch from the spans and checks it."""
+    path = tmp_path / "control_live_spans.jsonl"
+    assert main(["control", "--live", "--slaves", "1", "--rate", "30",
+                 "--duration", "1", "--period", "0.3", "--cooldown", "0.6",
+                 "--spans", str(path)]) == 0
+    with open(path, encoding="utf-8") as fh:
+        meta = json.loads(fh.readline())["meta"]
+    completed = meta["conservation"]["completed"]
+    assert completed > 0
+    assert meta["summary"]["count"] == completed
+    capsys.readouterr()
+    assert main(["trace", "--audit", str(path)]) == 0
+    assert f"'stretch_samples': {completed}" in capsys.readouterr().out

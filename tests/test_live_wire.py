@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.live import protocol
 from repro.live.loadd import LoadTable
-from repro.live.master import MasterServer
+from repro.live.master import MasterServer, PeerError
+from repro.workload.request import Request, RequestKind
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -182,3 +183,101 @@ def test_hostile_frames_and_datagrams_end_cleanly_at_the_master():
     assert errors == []
     assert rejected == 1
     assert not peer_connected and node_dead
+
+
+def test_malformed_peer_frames_are_counted_and_the_channel_serves_on():
+    """A peer frame with an unhashable ``id`` or a non-numeric ``seq`` is
+    dropped and counted; a ``done`` frame with a non-numeric ``cpu`` fails
+    that call alone.  The channel then completes the next call, and
+    ``MasterServer.stop()`` returns cleanly."""
+
+    async def odd_peer(reader, writer):
+        await protocol.expect_hello(reader)
+        protocol.send_message(writer, protocol.hello(1))
+        for frame in ({"op": "admit", "id": [1]},
+                      {"op": "done", "id": {"a": 1}},
+                      {"op": "role_ok", "role": "master", "seq": "x"},
+                      {"op": "role_ok", "role": "master", "seq": [2]}):
+            protocol.send_message(writer, frame)
+        first = await protocol.read_message(reader)
+        protocol.send_message(writer, {"op": "done", "id": first["id"],
+                                       "cpu": "fast", "io": 0.0})
+        second = await protocol.read_message(reader)
+        protocol.send_message(writer, {"op": "done", "id": second["id"],
+                                       "cpu": 0.001, "io": 0.0})
+        await writer.drain()
+        await reader.read()
+        writer.close()
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        master = MasterServer(node_id=0, num_nodes=2, workers=1)
+        server = await asyncio.start_server(odd_peer, "127.0.0.1", 0)
+        await master.start()
+        try:
+            await master.connect_peer(
+                1, "127.0.0.1", server.sockets[0].getsockname()[1])
+            peer = master.peers[1]
+            bad = peer.submit(Request(7, 0.0, RequestKind.DYNAMIC,
+                                      0.001, 0.0))
+            with pytest.raises(PeerError, match="malformed"):
+                await asyncio.wait_for(bad.future, 10.0)
+            good = peer.submit(Request(8, 0.0, RequestKind.DYNAMIC,
+                                       0.001, 0.0))
+            used = await asyncio.wait_for(good.future, 10.0)
+            state = (peer.connected, peer.malformed, peer.completed,
+                     master.role_acks)
+        finally:
+            await master.stop()
+            server.close()
+            await server.wait_closed()
+        return errors, used, state
+
+    errors, used, state = asyncio.run(scenario())
+    assert errors == []
+    assert used == (0.001, 0.0)
+    assert state == (True, 5, 1, [])
+
+
+def test_cgi_frame_without_an_integer_id_is_refused_and_serving_goes_on():
+    """On a node's CGI port, a ``cgi`` frame with no ``id`` or an
+    unhashable one is answered with an ``error`` frame; the connection
+    then still serves a well-formed call from admit to done."""
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        errors = []
+        loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        master = MasterServer(node_id=0, num_nodes=2, workers=1)
+        await master.start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                master.host, master.cgi_port)
+            protocol.send_message(writer, protocol.hello(1))
+            await protocol.expect_hello(reader)
+            for frame in ({"op": "cgi"},
+                          {"op": "cgi", "id": [1], "cpu": 0.001},
+                          {"op": "cgi", "id": 5, "cpu": 0.001, "io": 0.0}):
+                protocol.send_message(writer, frame)
+            await writer.drain()
+            replies = []
+            while not replies or replies[-1].get("op") != "done":
+                msg = await asyncio.wait_for(
+                    protocol.read_message(reader), 10.0)
+                assert msg is not None, f"connection dropped after {replies}"
+                replies.append(msg)
+            # Let the handler see EOF and close before the service stops.
+            writer.write_eof()
+            assert await asyncio.wait_for(reader.read(), 10.0) == b""
+            writer.close()
+        finally:
+            await master.stop()
+        return errors, replies
+
+    errors, replies = asyncio.run(scenario())
+    assert errors == []
+    assert [(m["op"], m["id"]) for m in replies] == [
+        ("error", None), ("error", None),
+        ("admit", 5), ("start", 5), ("done", 5)]

@@ -1,5 +1,7 @@
 """Unit tests for the SPECweb96 file mix."""
 
+import bisect
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.workload.specweb import (
     FILE_SIZES,
     MEAN_FILE_SIZE,
     closest_file,
+    closest_files,
     sample_files,
 )
 
@@ -57,6 +60,43 @@ class TestClosestFile:
         rng = np.random.default_rng(1)
         for size in rng.integers(0, 2_000_000, size=200):
             assert closest_file(int(size)) in FILE_SIZES
+
+
+def _nearest_by_bisect(size):
+    """The per-size snap, kept as the reference for the vectorised one."""
+    idx = bisect.bisect_left(FILE_SIZES, size)
+    if idx == 0:
+        return FILE_SIZES[0]
+    if idx == len(FILE_SIZES):
+        return FILE_SIZES[-1]
+    before, after = FILE_SIZES[idx - 1], FILE_SIZES[idx]
+    return before if size - before <= after - size else after
+
+
+class TestClosestFiles:
+    def test_matches_the_reference_around_every_boundary(self):
+        pairs = zip(FILE_SIZES, FILE_SIZES[1:])
+        probes = sorted(
+            {0, 1, 10**9}
+            | {s + d for s in FILE_SIZES for d in (-1, 0, 1)}
+            | {(a + b) // 2 + d for a, b in pairs for d in (-1, 0, 1)})
+        assert closest_files(probes).tolist() == [
+            _nearest_by_bisect(p) for p in probes]
+
+    def test_matches_the_reference_on_random_sizes(self):
+        sizes = np.random.default_rng(4).integers(0, 1_000_000, size=5000)
+        assert closest_files(sizes).tolist() == [
+            _nearest_by_bisect(int(s)) for s in sizes]
+
+    def test_tie_goes_to_the_smaller_file(self):
+        assert closest_files([153, 154]).tolist() == [102, 204]
+
+    def test_any_negative_rejected(self):
+        with pytest.raises(ValueError):
+            closest_files([5, -1])
+
+    def test_empty_input(self):
+        assert closest_files(np.array([], dtype=np.int64)).size == 0
 
 
 class TestSampling:
