@@ -19,6 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro._gc import gc_paused
 from repro.core.policies import FlatPolicy, MSPolicy
 from repro.core.queuing import Workload, flat_stretch, ms_stretch
 from repro.sim.config import SimConfig
@@ -36,6 +37,7 @@ def _clean_config(num_nodes: int, seed: int) -> SimConfig:
     return cfg.validate()
 
 
+@gc_paused()
 def exponential_trace(lam: float, mean_demand: float, duration: float,
                       seed: int, kind: RequestKind = RequestKind.STATIC,
                       start_id: int = 0) -> List[Request]:

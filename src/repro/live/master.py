@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -610,7 +611,10 @@ class MasterServer:
     async def _dispatch_http(self, target: str):
         """Route one HTTP target; returns (status, json_payload, lines),
         ``lines`` as :meth:`_respond` takes it."""
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)
+        except ValueError:              # e.g. "//[": an unclosed IPv6 host
+            return 400, {"error": "bad request target"}, None
         path = parts.path
         if path == "/healthz":
             return 200, {"status": "ok", "node": self.node_id}, None
@@ -644,6 +648,14 @@ class MasterServer:
                 return default
             return vals[0]
 
+        def demand(key: str) -> float:
+            # inf would hold a worker forever, and NaN would turn the
+            # ledger's stretch sums NaN for the rest of the run.
+            value = float(one(key, "0"))
+            if not math.isfinite(value):
+                raise ValueError(f"{key} demand must be finite")
+            return value
+
         kind_raw = one("kind", "static").lower()
         kind = (RequestKind.DYNAMIC if kind_raw in ("1", "dynamic", "cgi")
                 else RequestKind.STATIC)
@@ -651,8 +663,8 @@ class MasterServer:
             req_id=int(one("id")),
             arrival_time=self.clock.now,
             kind=kind,
-            cpu_demand=float(one("cpu", "0")),
-            io_demand=float(one("io", "0")),
+            cpu_demand=demand("cpu"),
+            io_demand=demand("io"),
             type_key=one("type", "static" if kind is RequestKind.STATIC
                          else "cgi:balanced"),
         )

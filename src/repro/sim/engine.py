@@ -49,11 +49,12 @@ triggered by event garbage.  The kernel addresses all three:
 
 from __future__ import annotations
 
-import gc
 import itertools
 import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, Optional, Tuple
+
+from repro._gc import gc_paused
 
 _INF = float("inf")
 
@@ -222,6 +223,7 @@ class Engine:
 
     # -- execution ----------------------------------------------------------
 
+    @gc_paused()
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Process events in time order.
 
@@ -249,9 +251,6 @@ class Engine:
         heap = self._heap
         bulk = self._bulk
         free = self._free
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         try:
             while True:
                 # Take the smaller head of the two tiers, unless it lies
@@ -296,8 +295,6 @@ class Engine:
         finally:
             self._running = False
             self._processed += processed
-            if gc_was_enabled:
-                gc.enable()
         if until is not None and self.now < until:
             self.now = until
         if self.tracer is not None:

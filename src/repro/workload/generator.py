@@ -17,11 +17,13 @@ the trace's CGI profile(s).
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections.abc import Iterator
+from itertools import islice, repeat
 from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro._gc import gc_paused
 from repro.workload.arrival import ArrivalKind, make_arrivals
 from repro.workload.cgi_profiles import get_profile
 from repro.workload.request import Request, RequestKind
@@ -48,6 +50,7 @@ def _lognormal_with_mean(mean: float, sigma: float, n: int,
     return rng.lognormal(mu, sigma, size=n)
 
 
+@gc_paused()
 def generate_trace(
     spec: TraceSpec,
     *,
@@ -126,16 +129,22 @@ def _place(out: List[Request], ids: np.ndarray, arrivals: np.ndarray,
     """Build the requests ``ids`` into ``out`` at those positions.
 
     ``ids`` are also the requests' ``req_id`` and index the trace's
-    ``arrivals``.  Each further field, in :class:`Request` order, is either
-    a numpy column aligned with ``ids`` or one value shared by all of them.
-    Columns are converted with ``tolist``, so requests hold plain
-    ``int``/``float`` values, never numpy scalars, and each request is
-    built positionally in one pass.
+    ``arrivals``.  Each further field, in :class:`Request` order, is one
+    of:
+
+    * a numpy column aligned with ``ids``, converted with ``tolist``, so
+      requests hold plain ``int``/``float`` values, never numpy scalars;
+    * an iterator of already-built Python values, one per id in order,
+      which lets requests share objects (see :func:`_fill_static`);
+    * one value shared by all of them.
+
+    Each request is built positionally in one pass.
     """
     for lo in range(0, ids.size, _CHUNK):
         rows = slice(lo, lo + _CHUNK)
         req_ids = ids[rows].tolist()
         columns = [f[rows].tolist() if isinstance(f, np.ndarray)
+                   else islice(f, len(req_ids)) if isinstance(f, Iterator)
                    else repeat(f) for f in fields]
         built = map(Request, req_ids, arrivals[ids[rows]].tolist(), *columns)
         for i, req in zip(req_ids, built):
@@ -162,6 +171,15 @@ def _assign_cache_keys(requests: List[Request], is_cgi: np.ndarray,
 def _fill_static(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
                  mask: np.ndarray, mu_h: float,
                  rng: np.random.Generator) -> None:
+    """Build the static requests: SPECweb96 file fetches.
+
+    A static request's size and demand depend on its served file alone,
+    and a trace serves at most 36 distinct files.  Each file's size and
+    demand are built once, as Python objects, and every request of that
+    file holds references to the same two objects: the values are those
+    the per-request columns hold, since equal sizes go through the same
+    elementwise arithmetic.
+    """
     idx = np.flatnonzero(mask)
     if idx.size == 0:
         return
@@ -175,11 +193,23 @@ def _fill_static(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,
     proportional /= proportional.mean()
     demands = (_STATIC_OVERHEAD_FRACTION
                + (1.0 - _STATIC_OVERHEAD_FRACTION) * proportional) / mu_h
+    # One table entry per served file; ``codes`` maps each request to its
+    # file's entry, and a C-level map looks the shared objects up.  The
+    # scatter writes each entry once per request of that file, always
+    # with the same value.
+    sizes, inverse = np.unique(served, return_inverse=True)
+    file_demands = np.empty(sizes.size)
+    file_demands[inverse] = demands
+    codes = inverse.tolist()
+    del inverse         # the list stands in for it while requests are built
+    size_of = sizes.tolist()
+    demand_of = file_demands.tolist()
     # Static service is pure CPU (parse, cache lookup, send): the file set
     # is cache-resident on an unloaded node.  Cache-miss disk reads are a
     # load effect and are added by the node at execution time.
-    _place(out, idx, arrivals, RequestKind.STATIC, demands, 0.0,
-           _STATIC_MEM_PAGES, served, "static")
+    _place(out, idx, arrivals, RequestKind.STATIC,
+           map(demand_of.__getitem__, codes), 0.0, _STATIC_MEM_PAGES,
+           map(size_of.__getitem__, codes), "static")
 
 
 def _fill_dynamic(out: List[Request], spec: TraceSpec, arrivals: np.ndarray,

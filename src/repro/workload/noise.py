@@ -21,6 +21,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro._gc import gc_paused
 from repro.sim.cluster import Cluster
 from repro.workload.request import Request, RequestKind
 
@@ -114,12 +115,14 @@ class BackgroundLoad:
         self._schedule_next(node_id)
 
 
+@gc_paused()
 def jitter_demands(requests: Sequence[Request], sigma: float,
                    seed: int = 0) -> List[Request]:
     """Return a copy of the trace with lognormal demand perturbation.
 
     The jitter is mean-one, so trace-level calibration is preserved while
-    individual requests deviate like real measurements do.
+    individual requests deviate like real measurements do.  Every other
+    field, the CGI cache key and the session client id included, is kept.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -130,5 +133,6 @@ def jitter_demands(requests: Sequence[Request], sigma: float,
     factors = rng.lognormal(mu, sigma, size=len(requests)).tolist()
     return [Request(req.req_id, req.arrival_time, req.kind,
                     req.cpu_demand * f, req.io_demand * f, req.mem_pages,
-                    req.size_bytes, req.type_key)
+                    req.size_bytes, req.type_key, req.cache_key,
+                    req.client_id)
             for req, f in zip(requests, factors)]

@@ -1,8 +1,12 @@
 """Unit tests for synthetic trace generation."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro._gc import gc_paused
 from repro.workload.generator import generate_trace, trace_statistics
 from repro.workload.request import RequestKind
 from repro.workload.specweb import FILE_SIZES
@@ -145,3 +149,48 @@ class TestArrivalKinds:
     def test_start_offset(self):
         trace = generate_trace(UCB, rate=100, n=50, seed=4, start=7.5)
         assert min(q.arrival_time for q in trace) >= 7.5
+
+
+class TestSharedValues:
+    """Statics of one SPECweb96 file share their size and demand objects."""
+
+    def test_one_object_per_static_value(self):
+        trace = generate_trace(UCB, rate=1000, n=20_000, seed=1)
+        statics = [q for q in trace if q.kind is RequestKind.STATIC]
+        for field in ("size_bytes", "cpu_demand"):
+            values = [getattr(q, field) for q in statics]
+            assert len({id(v) for v in values}) == len(set(values)), field
+
+    def test_retained_bytes_per_request(self):
+        n = 60_000
+        generate_trace(UCB, rate=1000, n=100, seed=0)   # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = generate_trace(UCB, rate=1000, n=n, seed=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == n
+        assert retained / n <= 200
+
+
+class TestCollectorPause:
+    def test_collector_restored(self):
+        assert gc.isenabled()
+        generate_trace(UCB, rate=100, n=50, seed=0)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            generate_trace(UCB, rate=100, n=50, seed=0)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_restored_on_error(self):
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                assert not gc.isenabled()
+                raise RuntimeError("boom")
+        assert gc.isenabled()

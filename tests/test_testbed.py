@@ -2,6 +2,8 @@
 configuration and the noise (demand jitter, background jobs) that
 ``replay(..., noise=...)`` adds to it for Table 3's "actual" column."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.sim.config import testbed_sim_config as sun_cluster_config
 from repro.workload.generator import generate_trace
 from repro.workload.noise import BackgroundLoad, NoiseConfig, jitter_demands
 from repro.workload.replay import replay
+from repro.workload.request import Request
 from repro.workload.traces import UCB
 from tests.conftest import make_cgi, make_static
 
@@ -54,6 +57,21 @@ class TestJitter:
         assert out[0].req_id == 7
         assert out[0].mem_pages == 55
         assert out[0].type_key == reqs[0].type_key
+
+    def test_every_field_but_the_demands_preserved(self):
+        """Cache keys and session clients survive the jitter, so a noisy
+        replay keeps cacheable CGI cacheable and session clients known."""
+        keyed = make_cgi(req_id=3)
+        keyed.cache_key = "cgi:spin?q=3"
+        keyed.client_id = 7
+        reqs = [keyed, make_cgi(req_id=4), make_static(req_id=5)]
+        out = jitter_demands(reqs, 0.15, seed=2)
+        assert (out[0].cache_key, out[0].client_id) == ("cgi:spin?q=3", 7)
+        kept = [f.name for f in fields(Request)
+                if f.name not in ("cpu_demand", "io_demand")]
+        for before, after in zip(reqs, out):
+            assert [getattr(after, k) for k in kept] == \
+                [getattr(before, k) for k in kept]
 
 
 class TestBackgroundLoad:
