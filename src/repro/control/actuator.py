@@ -13,15 +13,16 @@ surface to the reconciliation loop:
     role), it just stops being an accept/static target — so conservation
     holds with zero aborts.  Promotion re-registers the node with the
     :class:`~repro.sim.monitor.LoadMonitor` (re-baselines its busy
-    counters) so the first post-promotion load sample reflects the new
-    duty cycle rather than averaging across roles.
+    counters, with no probation) so the first post-promotion load sample
+    reflects the new duty cycle rather than averaging across roles.
 
 :class:`LiveAdapter`
     Drives the same transitions from the live master over the PR-4
     protocol: the routing tables flip locally (the master owns dispatch)
     and a ``role`` frame notifies the affected node, which acknowledges
-    with ``role_ok``; the node is then re-registered with the loadd
-    tier (:meth:`~repro.live.loadd.LoadTable.mark_alive` — heartbeat
+    with ``role_ok``; the node is then re-registered with the master's
+    :class:`~repro.sim.monitor.LoadTable` (marked alive, and
+    :meth:`~repro.sim.monitor.LoadTable.restart_probation` — heartbeat
     probation restarts, so dispatch treats the node cautiously until a
     fresh run of heartbeats arrives in its new role).
 
@@ -135,7 +136,7 @@ class SimAdapter(_LedgerFeed):
         """Lowest-id healthy slave: alive, not draining, not suspect."""
         cluster = self.cluster
         masters = set(cluster.policy.master_ids)
-        suspect = cluster.monitor.suspect
+        suspect = cluster.table.suspect
         best_fallback: Optional[int] = None
         for i in range(len(cluster.nodes)):
             if i in masters or i in cluster._draining:
@@ -304,7 +305,8 @@ class LiveAdapter(_LedgerFeed):
                           "master" if action.kind == PROMOTE else "slave")
         # loadd re-registration: heartbeat probation restarts so dispatch
         # treats the node cautiously until it reports in its new role.
-        master.table.mark_alive(action.node_id)
+        master.table.set_alive(action.node_id, True)
+        master.table.restart_probation(action.node_id)
         return True
 
     def _notify_role(self, node_id: int, role: str) -> None:

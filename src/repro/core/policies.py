@@ -34,7 +34,7 @@ class LoadView(Protocol):
 
     The suspicion layer is part of it: ``healthy_array()`` flags nodes
     that are in service and not suspect, ``all_healthy()`` is its O(1)
-    summary (see :class:`repro.sim.cluster.ClusterView`).  A view with no
+    summary (see :class:`repro.sim.monitor.LoadView`).  A view with no
     source of suspicion returns its alive membership from both.
     """
 

@@ -12,8 +12,11 @@ serving cluster on localhost:
   that reports it;
 * :mod:`~repro.live.protocol` — length-prefixed JSON framing for the
   persistent remote-CGI connections, and the UDP heartbeat datagram;
-* :mod:`~repro.live.loadd` — the master-side heartbeat endpoint and load
-  table with rstat()-style staleness/suspicion semantics;
+* :mod:`~repro.live.loadd` — the master-side heartbeat endpoint, which
+  decodes each node's heartbeat into a sample of the simulator's own
+  :class:`~repro.sim.monitor.LoadTable` (rstat()-style smoothing,
+  probation and staleness, judged on the master's clock), read by the
+  policy through the one :class:`~repro.sim.monitor.LoadView` adapter;
 * :mod:`~repro.live.node` — per-node worker pool, the framed CGI
   service, and the slave process entry point;
 * :mod:`~repro.live.master` — the HTTP front end running the scheduler,
@@ -34,10 +37,12 @@ _EXPORTS = {
     "repro.live.cluster": ("LiveCluster", "LiveClusterConfig"),
     "repro.live.kernel": (
         "BusyMeter", "LiveClock", "LoadReporter", "burn_cpu", "calibrate"),
-    "repro.live.loadd": ("LiveLoadView", "LoadTable"),
+    "repro.live.loadd": ("HeartbeatReceiver",),
     "repro.live.loadgen": ("LoadGenResult", "run_loadgen"),
     "repro.live.master": ("MasterServer", "PeerConnection"),
     "repro.live.node": ("CGIService", "WorkerPool", "run_slave"),
     "repro.live.validate": ("TOLERANCE", "ValidationResult", "validate"),
+    # One load table and view serve both substrates.
+    "repro.sim.monitor": ("LoadTable", "LoadView"),
 }
 __getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

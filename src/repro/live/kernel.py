@@ -34,7 +34,8 @@ busy-time counters: the worker pool reports completed CPU/disk seconds,
 and the load daemon differentiates the totals into windowed utilisations
 exactly like :class:`repro.sim.monitor.LoadMonitor` does for ``rstat()``,
 and :class:`LoadReporter` sends each window to the masters as one
-heartbeat.  Every node runs this module, slaves included, so nothing it
+heartbeat.  A master decodes it into a sample of the same
+:class:`repro.sim.monitor.LoadTable` the simulator's monitor feeds.  Every node runs this module, slaves included, so nothing it
 imports loads numpy: a slave process starts in a fraction of the time an
 import of the whole package would take.
 """

@@ -6,8 +6,8 @@ together, on a single asyncio event loop:
 * an HTTP/1.1 listener (``GET /req``) where clients submit requests;
 * the *simulator's own* dispatch policy —
   :class:`~repro.core.policies.FrontEndMSPolicy`, reservation controller
-  and demand sampler included — fed by a :class:`~repro.live.loadd
-  .LiveLoadView` over the UDP heartbeat table;
+  and demand sampler included — fed by a :class:`~repro.sim.monitor
+  .LoadView` over the load table the UDP heartbeats feed;
 * a local :class:`~repro.live.node.WorkerPool` executing requests the
   policy keeps on this master (static always; dynamic when the theta'_2
   gate admits and this master wins the RSRC comparison);
@@ -56,7 +56,7 @@ from repro.core.sampling import DemandSampler
 from repro.core.reservation import ReservationConfig
 from repro.live import protocol
 from repro.live.kernel import BusyMeter, LiveClock, LoadReporter, calibrate
-from repro.live.loadd import LiveLoadView, LoadTable, open_heartbeat_endpoint
+from repro.live.loadd import HeartbeatReceiver
 from repro.live.node import CGIService, WorkerPool
 from repro.obs.trace import (
     ABORT,
@@ -74,6 +74,7 @@ from repro.obs.trace import (
 )
 from repro.sim.config import MonitorConfig
 from repro.sim.metrics import MetricsCollector
+from repro.sim.monitor import LoadTable, LoadView
 from repro.workload.request import Request, RequestKind
 
 
@@ -141,8 +142,10 @@ class PeerConnection:
             self._read_loop(), name=f"peer-{self.node_id}")
         # Only a returning node restarts probation; on first contact the
         # heartbeats a new node already sent still count.
-        if self.master.table.dead[self.node_id]:
-            self.master.table.mark_alive(self.node_id)
+        table = self.master.table
+        if not table.alive[self.node_id]:
+            table.set_alive(self.node_id, True)
+            table.restart_probation(self.node_id)
 
     def submit(self, request: Request) -> RemoteCall:
         """Ship one dynamic request; returns the call to await."""
@@ -224,7 +227,7 @@ class PeerConnection:
             # A connection replaced by a reconnect says nothing about the
             # node: only the installed one may mark it dead.
             if master.peers.get(self.node_id) is self:
-                master.table.mark_dead(self.node_id)
+                master.table.set_alive(self.node_id, False)
             for call in list(self.pending.values()):
                 if not call.future.done():
                     call.future.set_exception(
@@ -279,8 +282,10 @@ class MasterServer:
         self.request_timeout = request_timeout
         self.clock = LiveClock()
         self.monitor = monitor or MonitorConfig()
-        self.table = LoadTable(num_nodes, self.monitor)
-        self.view = LiveLoadView(self.table, self.clock)
+        self.table = LoadTable(num_nodes, self.monitor, clock=self.clock)
+        self.receiver = HeartbeatReceiver(self.table)
+        self.view = LoadView(self.table, self.clock,
+                             self.receiver.active_requests)
         self.policy = FrontEndMSPolicy(
             num_nodes, num_masters, accept_node=node_id,
             sampler=sampler if sampler is not None else DemandSampler(
@@ -315,8 +320,10 @@ class MasterServer:
                     ) -> None:
         """Bind every endpoint (UDP heartbeats, CGI peer port, HTTP)."""
         calibrate()
-        self._udp_transport, self.udp_port = await open_heartbeat_endpoint(
-            self.table, self.clock, host=self.host)
+        self._udp_transport, _ = await asyncio.get_running_loop(
+            ).create_datagram_endpoint(lambda: self.receiver,
+                                       local_addr=(self.host, 0))
+        self.udp_port = self._udp_transport.get_extra_info("sockname")[1]
         self.cgi_port = await self.cgi_service.start()
         self._http_server = await asyncio.start_server(
             self._handle_http, self.host, 0)
@@ -326,7 +333,7 @@ class MasterServer:
         self._reporter = LoadReporter(
             self.node_id, self.meter, self.clock,
             udp_targets=peer_udp_ports,
-            local_observe=lambda payload: self.table.observe_datagram(
+            local_observe=lambda payload: self.receiver.observe_datagram(
                 payload, self.clock.now),
             cfg=self.monitor)
         await self._reporter.start()
@@ -354,10 +361,11 @@ class MasterServer:
             await asyncio.sleep(0.05)
         suspect = [i for i in range(self.num_nodes)
                    if self.view.is_suspect(i)]
+        dead = [i for i in range(self.num_nodes) if not self.view.is_alive(i)]
         raise TimeoutError(
             f"cluster did not become healthy within {timeout}s "
             f"(unconnected nodes: {unconnected}, suspect: {suspect}, dead: "
-            f"{list(map(int, self.table.dead.nonzero()[0]))})")
+            f"{dead})")
 
     async def stop(self) -> None:
         for peer in list(self.peers.values()):
@@ -411,8 +419,8 @@ class MasterServer:
             "metrics": metrics,
             "spans": len(self.tracer.spans) if self.tracer else 0,
             "span_bytes": self.tracer.spans.nbytes if self.tracer else 0,
-            "heartbeats": self.table.heartbeats,
-            "heartbeats_rejected": self.table.rejected,
+            "heartbeats": self.receiver.heartbeats,
+            "heartbeats_rejected": self.receiver.rejected,
             "cpu_idle": [float(x) for x in self.table.cpu_idle],
             "disk_avail": [float(x) for x in self.table.disk_avail],
             "suspect": [bool(x)

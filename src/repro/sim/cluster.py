@@ -44,74 +44,11 @@ from repro.sim.metrics import (
     MetricsCollector,
     MetricsReport,
 )
-from repro.sim.monitor import LoadMonitor
+from repro.sim.monitor import LoadMonitor, LoadView
 from repro.sim.node import Node
 from repro.sim.process import SimProcess
 from repro.sim.resilience import ResilienceConfig, ResilienceManager
 from repro.workload.request import Request
-
-
-class ClusterView:
-    """The load information a scheduler is allowed to see.
-
-    Values come from the periodic :class:`LoadMonitor`, so they are stale by
-    up to one monitoring period — as they would be when polling ``rstat()``.
-    The *suspicion* flags are part of the view: nodes whose probes fail or
-    whose samples are stale are excluded from candidate sets by policies
-    before the crash is formally detected (see :meth:`healthy_array`).
-    """
-
-    __slots__ = ("_cluster",)
-
-    def __init__(self, cluster: "Cluster"):
-        self._cluster = cluster
-
-    @property
-    def num_nodes(self) -> int:
-        return self._cluster.cfg.num_nodes
-
-    @property
-    def now(self) -> float:
-        return self._cluster.engine.now
-
-    def cpu_idle_array(self) -> np.ndarray:
-        """Read-only snapshot array (do not mutate)."""
-        return self._cluster.monitor.cpu_idle
-
-    def disk_avail_array(self) -> np.ndarray:
-        """Read-only snapshot array (do not mutate)."""
-        return self._cluster.monitor.disk_avail
-
-    def active_requests(self, node_id: int) -> int:
-        """Instantaneous in-flight count — used only by baseline policies
-        that model a connection-counting switch."""
-        return self._cluster.nodes[node_id].active
-
-    def is_alive(self, node_id: int) -> bool:
-        return bool(self._cluster.alive[node_id])
-
-    def alive_array(self) -> np.ndarray:
-        """Read-only membership snapshot (do not mutate)."""
-        return self._cluster.alive
-
-    # -- suspicion -------------------------------------------------------------
-
-    def is_suspect(self, node_id: int) -> bool:
-        return bool(self._cluster.monitor.suspect[node_id])
-
-    def suspect_array(self) -> np.ndarray:
-        """Read-only suspicion snapshot (do not mutate)."""
-        return self._cluster.monitor.suspect
-
-    def all_healthy(self) -> bool:
-        """O(1) fast path: every node is in service and trusted."""
-        cluster = self._cluster
-        return (cluster.alive_count == cluster.cfg.num_nodes
-                and not cluster.monitor.any_suspect)
-
-    def healthy_array(self) -> np.ndarray:
-        """In-service AND not-suspect membership (fresh array)."""
-        return self._cluster.alive & ~self._cluster.monitor.suspect
 
 
 class Cluster:
@@ -145,8 +82,13 @@ class Cluster:
         ]
         self.monitor = LoadMonitor(self.engine, cfg.monitor, self.nodes)
         self.monitor.start()
+        #: The load information a scheduler is allowed to see: stale by up
+        #: to one monitoring period, as when polling ``rstat()``.
+        self.table = self.monitor.table
         self.metrics = MetricsCollector()
-        self.view = ClusterView(self)
+        nodes = self.nodes
+        self.view = LoadView(self.table, self.engine,
+                             lambda node_id: nodes[node_id].active)
         #: Route per in-flight request, keyed by req_id (a request may sit
         #: in a node's listen backlog before any process exists for it).
         self._routes: Dict[int, Route] = {}
@@ -163,9 +105,8 @@ class Cluster:
             ResilienceManager(self, resilience)
             if resilience is not None else None
         )
-        #: Membership: which nodes are currently in service.
-        self.alive = np.ones(cfg.num_nodes, dtype=bool)
-        self.alive_count = cfg.num_nodes
+        #: Membership (the load table's): which nodes are in service.
+        self.alive = self.table.alive
         #: Nodes draining gracefully: no new work, in-flight completes.
         self._draining: set[int] = set()
         self.restarted_requests = 0
@@ -243,8 +184,9 @@ class Cluster:
                       (route.remote, self.policy.is_master(node_id))
                       + (ld if ld is not None
                          else (None, None, None, None, None)))
-        if (self.nodes[node_id].failed or (self.alive_count < num_nodes
-                                           and not self.alive[node_id])):
+        if (self.nodes[node_id].failed
+                or (self.table.alive_count < num_nodes
+                    and not self.alive[node_id])):
             # A failure-unaware front end (DNS rotation with cached IPs) or
             # an undetected crash: the client's connection attempt fails.
             self.denied_attempts += 1
@@ -270,7 +212,7 @@ class Cluster:
     def _admit(self, request: Request, route: Route, latency: float) -> None:
         node_id = route.node_id
         node = self.nodes[node_id]
-        if node.failed or (self.alive_count < self.cfg.num_nodes
+        if node.failed or (self.table.alive_count < self.cfg.num_nodes
                            and not self.alive[node_id]):
             # The node died during the dispatch hop; re-route.
             if self.tracer is not None:
@@ -292,18 +234,14 @@ class Cluster:
     # -- membership -----------------------------------------------------------
 
     def _mark_down(self, node_id: int) -> None:
-        if self.alive[node_id]:
-            self.alive[node_id] = False
-            self.alive_count -= 1
+        self.table.set_alive(node_id, False)
         self._down_since.setdefault(node_id, self.engine.now)
 
     def _mark_up(self, node_id: int) -> None:
         since = self._down_since.pop(node_id, None)
         if since is not None:
             self.downtime[node_id] += self.engine.now - since
-        if not self.alive[node_id]:
-            self.alive_count += 1
-        self.alive[node_id] = True
+        self.table.set_alive(node_id, True)
 
     def _detect_failure(self, node_id: int) -> None:
         """Deferred membership update of ``detection_mode='monitor'``."""

@@ -30,7 +30,7 @@ _NODE_METRICS = {
 #: Per-node availability flags captured from the cluster, not the node.
 _CLUSTER_NODE_METRICS = {
     "alive": lambda cluster, i: float(cluster.alive[i]),
-    "suspect": lambda cluster, i: float(cluster.monitor.suspect[i]),
+    "suspect": lambda cluster, i: float(cluster.table.suspect[i]),
 }
 
 #: Cluster-wide resilience counters, 0 when no resilience layer is armed

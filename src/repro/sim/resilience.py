@@ -261,7 +261,7 @@ class ResilienceManager:
     def pressure(self) -> float:
         """Normalised overload score: 1.0 = at threshold, 2.0 = severe."""
         cluster = self.cluster
-        alive = max(1, cluster.alive_count)
+        alive = max(1, cluster.table.alive_count)
         backlog = sum(node.active + len(node.backlog)
                       for node in cluster.nodes if not node.failed) / alive
         score = backlog / self.cfg.shed_backlog

@@ -63,3 +63,14 @@ def test_cli_parser_leaves_the_simulator_harness_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_live_master_leaves_the_simulator_unloaded():
+    """The live master shares the simulator's load table, but booting it
+    must not import the event engine, the node model or the cluster."""
+    heavy = ("repro.sim.engine", "repro.sim.node", "repro.sim.cluster")
+    code = ("import sys; import repro.live.master; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

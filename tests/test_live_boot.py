@@ -110,7 +110,7 @@ def test_failed_spawn_cancels_siblings_and_reaps_children(monkeypatch):
 
 
 async def until_dead(table, node_id: int) -> None:
-    while not table.dead[node_id]:
+    while table.alive[node_id]:
         await asyncio.sleep(0.01)
 
 
@@ -130,13 +130,14 @@ def test_probation_restarts_only_for_returning_nodes():
         await master.start()
         port = await service.start()
         table, view = master.table, master.view
+        receiver = master.receiver
         seqs = {1: 0, 2: 0}
         seen = {}
 
         def beat(node_id: int) -> None:
             seqs[node_id] += 1
-            table.observe(node_id, seqs[node_id], 1.0, 1.0, 0,
-                          now=master.clock.now)
+            receiver.observe(node_id, seqs[node_id], 1.0, 1.0, 0,
+                             now=master.clock.now)
 
         try:
             beat(2)
@@ -196,12 +197,13 @@ def test_reconnect_over_open_connection_keeps_node_alive():
         table, view = master.table, master.view
         try:
             for seq in (1, 2):
-                table.observe(1, seq, 1.0, 1.0, 0, now=master.clock.now)
+                master.receiver.observe(1, seq, 1.0, 1.0, 0,
+                                        now=master.clock.now)
             await master.connect_peer(1, "127.0.0.1", port)
             old = master.peers[1]
             await master.connect_peer(1, "127.0.0.1", port)
             return (master.peers[1] is not old, master.peers[1].connected,
-                    bool(table.dead[1]), view.is_suspect(1))
+                    not table.alive[1], view.is_suspect(1))
         finally:
             await master.stop()
             await service.stop()

@@ -177,7 +177,8 @@ def test_stats_payload_matches_the_ledger(monkeypatch):
         await master.start()
         try:
             for seq in range(1, 6):
-                master.table.observe(1, seq, 1.0, 1.0, 0, master.clock.now)
+                master.receiver.observe(1, seq, 1.0, 1.0, 0,
+                                        master.clock.now)
             await serve(master, range(40))
             task = asyncio.get_running_loop().create_task(
                 master.serve_request(make_static(req_id=99, cpu=0.5)))

@@ -1,5 +1,5 @@
 """Deterministic dispatch tests: the simulator's M/S policy driven by a
-live :class:`LoadTable` instead of the simulated monitor.
+live heartbeat-fed :class:`LoadTable` instead of the simulated monitor.
 
 These pin down the live master's routing semantics without sockets: the
 reservation gate (theta'_2) really closes masters to dynamic work, the
@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.policies import FrontEndMSPolicy
-from repro.live.loadd import LiveLoadView, LoadTable
+from repro.live.loadd import HeartbeatReceiver
 from repro.sim.config import MonitorConfig
+from repro.sim.monitor import LoadTable, LoadView
 
 from tests.conftest import make_cgi, make_static
 
@@ -24,17 +25,18 @@ class FakeClock:
 
 
 def make_view(idle_by_node, now: float = 1.0):
-    """A healthy LiveLoadView where node i reports ``idle_by_node[i]``
+    """A healthy live LoadView where node i reports ``idle_by_node[i]``
     for both resources (smoothing=1.0 makes heartbeats take effect
-    verbatim)."""
+    verbatim); returns its heartbeat receiver, the view and the clock."""
     cfg = MonitorConfig(period=0.2, smoothing=1.0, suspect_after=1.0,
                         probation_samples=2)
-    table = LoadTable(len(idle_by_node), cfg)
-    for node, idle in enumerate(idle_by_node):
-        table.observe(node, 1, idle, idle, 0, now=now - 0.2)
-        table.observe(node, 2, idle, idle, 0, now=now)
     clock = FakeClock(now)
-    return table, LiveLoadView(table, clock), clock
+    table = LoadTable(len(idle_by_node), cfg, clock=clock)
+    receiver = HeartbeatReceiver(table)
+    for node, idle in enumerate(idle_by_node):
+        receiver.observe(node, 1, idle, idle, 0, now=now - 0.2)
+        receiver.observe(node, 2, idle, idle, 0, now=now)
+    return receiver, LoadView(table, clock, receiver.active_requests), clock
 
 
 def make_policy(**kwargs):
@@ -95,12 +97,12 @@ def test_gate_reopens_as_fraction_decays():
 
 
 def test_suspect_node_is_avoided():
-    table, view, clock = make_view([0.5, 1.0, 0.4], now=1.0)
+    receiver, view, clock = make_view([0.5, 1.0, 0.4], now=1.0)
     # Node 1 goes silent; nodes 0 and 2 keep heartbeating.
     clock.now = 3.0
     for seq, t in ((3, 2.8), (4, 3.0)):
-        table.observe(0, seq, 0.5, 0.5, 0, now=t)
-        table.observe(2, seq, 0.4, 0.4, 0, now=t)
+        receiver.observe(0, seq, 0.5, 0.5, 0, now=t)
+        receiver.observe(2, seq, 0.4, 0.4, 0, now=t)
     assert view.is_suspect(1) and not view.is_suspect(0)
     policy = make_policy()
     for req_id in range(1, 6):

@@ -6,10 +6,13 @@ import asyncio
 
 import numpy as np
 
+import repro.live.master as master_module
 from repro.live.kernel import BusyMeter, LiveClock, LoadReporter
-from repro.live.loadd import LiveLoadView, LoadTable
+from repro.live.loadd import HeartbeatReceiver
+from repro.live.master import MasterServer
 from repro.live.protocol import decode_heartbeat, encode_heartbeat
 from repro.sim.config import MonitorConfig
+from repro.sim.monitor import LoadTable, LoadView
 
 
 class FakeClock:
@@ -22,6 +25,13 @@ def cfg() -> MonitorConfig:
                          probation_samples=2)
 
 
+def live(num_nodes: int, clock):
+    """A master's table on ``clock``, its heartbeat receiver and view."""
+    table = LoadTable(num_nodes, cfg(), clock=clock)
+    receiver = HeartbeatReceiver(table)
+    return table, receiver, LoadView(table, clock, receiver.active_requests)
+
+
 def test_heartbeat_codec_and_garbage():
     payload = encode_heartbeat(3, 17, 0.93, 0.71, 2)
     msg = decode_heartbeat(payload)
@@ -32,69 +42,67 @@ def test_heartbeat_codec_and_garbage():
 
 
 def test_table_rejects_replayed_and_out_of_range():
-    table = LoadTable(2, cfg())
-    assert table.observe(0, 1, 0.5, 0.5, 1, now=0.0)
-    assert not table.observe(0, 1, 0.5, 0.5, 1, now=0.1)   # duplicate seq
-    assert not table.observe(0, 0, 0.5, 0.5, 1, now=0.1)   # reordered
-    assert not table.observe(5, 2, 0.5, 0.5, 1, now=0.1)   # unknown node
-    assert table.rejected == 3
-    assert table.heartbeats == 1
+    _, receiver, _ = live(2, FakeClock(0.0))
+    assert receiver.observe(0, 1, 0.5, 0.5, 1, now=0.0)
+    assert not receiver.observe(0, 1, 0.5, 0.5, 1, now=0.1)  # duplicate seq
+    assert not receiver.observe(0, 0, 0.5, 0.5, 1, now=0.1)  # reordered
+    assert not receiver.observe(5, 2, 0.5, 0.5, 1, now=0.1)  # unknown node
+    assert receiver.rejected == 3
+    assert receiver.heartbeats == 1
 
 
 def test_smoothing_is_ewma():
-    table = LoadTable(1, cfg())
-    table.observe(0, 1, 0.0, 0.0, 0, now=0.0)
+    table, receiver, _ = live(1, FakeClock(0.0))
+    receiver.observe(0, 1, 0.0, 0.0, 0, now=0.0)
     # smoothing 0.7 over the optimistic 1.0 prior.
     assert np.isclose(table.cpu_idle[0], 0.3)
-    table.observe(0, 2, 0.0, 0.0, 0, now=0.2)
+    receiver.observe(0, 2, 0.0, 0.0, 0, now=0.2)
     assert np.isclose(table.cpu_idle[0], 0.09)
 
 
 def test_never_heard_is_suspect_until_probation_clears():
-    table = LoadTable(2, cfg())
-    view = LiveLoadView(table, FakeClock(0.0))
+    _, receiver, view = live(2, FakeClock(0.0))
     assert view.is_suspect(0) and view.is_suspect(1)
     assert not view.all_healthy()
     # One heartbeat is not enough (probation_samples=2)...
-    table.observe(0, 1, 1.0, 1.0, 0, now=0.0)
+    receiver.observe(0, 1, 1.0, 1.0, 0, now=0.0)
     assert view.is_suspect(0)
     # ...a second consecutive one clears it.
-    table.observe(0, 2, 1.0, 1.0, 0, now=0.2)
+    receiver.observe(0, 2, 1.0, 1.0, 0, now=0.2)
     assert not view.is_suspect(0)
     assert view.is_suspect(1)
     assert list(view.healthy_array()) == [True, False]
 
 
 def test_staleness_restarts_probation():
-    table = LoadTable(1, cfg())
     clock = FakeClock(0.0)
-    view = LiveLoadView(table, clock)
-    table.observe(0, 1, 1.0, 1.0, 0, now=0.0)
-    table.observe(0, 2, 1.0, 1.0, 0, now=0.2)
+    _, receiver, view = live(1, clock)
+    receiver.observe(0, 1, 1.0, 1.0, 0, now=0.0)
+    receiver.observe(0, 2, 1.0, 1.0, 0, now=0.2)
     assert not view.is_suspect(0)
     # Silence for longer than suspect_after -> suspect again.
     clock.now = 2.0
     assert view.is_suspect(0)
     # A single heartbeat after the gap is on probation...
-    table.observe(0, 3, 1.0, 1.0, 0, now=2.0)
+    receiver.observe(0, 3, 1.0, 1.0, 0, now=2.0)
     clock.now = 2.1
     assert view.is_suspect(0)
     # ...and an unbroken stream works it off.
-    table.observe(0, 4, 1.0, 1.0, 0, now=2.2)
+    receiver.observe(0, 4, 1.0, 1.0, 0, now=2.2)
     clock.now = 2.3
     assert not view.is_suspect(0)
 
 
 def test_dead_flag_and_reconnect_probation():
-    table = LoadTable(1, cfg())
-    view = LiveLoadView(table, FakeClock(0.5))
-    table.observe(0, 1, 1.0, 1.0, 0, now=0.0)
-    table.observe(0, 2, 1.0, 1.0, 0, now=0.2)
+    table, receiver, view = live(1, FakeClock(0.5))
+    receiver.observe(0, 1, 1.0, 1.0, 0, now=0.0)
+    receiver.observe(0, 2, 1.0, 1.0, 0, now=0.2)
     assert view.all_healthy() and view.alive_array().all()
-    table.mark_dead(0)
+    table.set_alive(0, False)
     assert not view.is_alive(0)
     assert not view.all_healthy()
-    table.mark_alive(0)
+    table.set_alive(0, True)
+    table.restart_probation(0)
     # Reconnection puts the node back on probation despite fresh samples.
     assert view.is_alive(0)
     assert view.is_suspect(0)
@@ -113,21 +121,21 @@ def test_busy_meter_windows():
 
 
 def test_reporter_beat_once_delivers_locally():
-    table = LoadTable(1, cfg())
     clock = LiveClock()
+    _, receiver, _ = live(1, clock)
     meter = BusyMeter(capacity=1, now=clock.now)
     seen = []
 
     def local_observe(payload: bytes) -> None:
         seen.append(payload)
-        table.observe_datagram(payload, clock.now)
+        receiver.observe_datagram(payload, clock.now)
 
     reporter = LoadReporter(0, meter, clock, local_observe=local_observe,
                             cfg=cfg())
     reporter.beat_once(clock.now)
     reporter.beat_once(clock.now)
     assert len(seen) == 2
-    assert table.heartbeats == 2
+    assert receiver.heartbeats == 2
     assert reporter.seq == 2
 
 
@@ -136,17 +144,56 @@ def test_reporter_start_sends_first_heartbeat():
     period later, so a new node's probation starts at once."""
 
     async def scenario():
-        table = LoadTable(1, cfg())
         clock = LiveClock()
+        _, receiver, _ = live(1, clock)
         reporter = LoadReporter(
             0, BusyMeter(capacity=1, now=clock.now), clock,
-            local_observe=lambda payload: table.observe_datagram(
+            local_observe=lambda payload: receiver.observe_datagram(
                 payload, clock.now),
             cfg=cfg())
         await reporter.start()
         try:
-            return reporter.sent, table.heartbeats
+            return reporter.sent, receiver.heartbeats
         finally:
             await reporter.stop()
 
     assert asyncio.run(scenario()) == (1, 1)
+
+
+def test_silent_node_turns_suspect_at_suspect_after(monkeypatch):
+    """A node whose heartbeats stop is trusted at exactly ``last_heard +
+    suspect_after`` and suspect just after it, with no routing decision
+    in between; a heartbeat after the gap restarts its probation."""
+    monkeypatch.setattr(master_module, "LiveClock", FakeClock)
+    master = MasterServer(node_id=0, num_nodes=2, workers=1, monitor=cfg())
+
+    def no_route(request, view):
+        raise AssertionError("a read needs no routing decision")
+
+    monkeypatch.setattr(master.policy, "route", no_route)
+    clock, table, receiver = master.clock, master.table, master.receiver
+    try:
+        for seq, t in enumerate((0.25, 0.5), start=1):
+            clock.now = t
+            receiver.observe(0, seq, 1.0, 1.0, 0, t)
+            receiver.observe(1, seq, 1.0, 1.0, 0, t)
+        # Node 1 falls silent at 0.5; node 0 keeps reporting.
+        for seq, t in enumerate((0.75, 1.0, 1.25, 1.5), start=3):
+            clock.now = t
+            receiver.observe(0, seq, 1.0, 1.0, 0, t)
+        deadline = 0.5 + cfg().suspect_after
+        assert clock.now == deadline
+        assert master.stats()["suspect"] == [False, False]
+        assert not table.suspect_array(deadline).any()
+        clock.now = float(np.nextafter(deadline, np.inf))
+        assert master.stats()["suspect"] == [False, True]
+        assert list(table.suspect_array(clock.now)) == [False, True]
+        # Back after the gap: one heartbeat is not enough...
+        receiver.observe(1, 3, 1.0, 1.0, 0, clock.now)
+        assert master.stats()["suspect"] == [False, True]
+        # ...an unbroken second one is.
+        clock.now += 0.2
+        receiver.observe(1, 4, 1.0, 1.0, 0, clock.now)
+        assert master.stats()["suspect"] == [False, False]
+    finally:
+        master.pool.shutdown()

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.live import protocol
-from repro.live.loadd import LoadTable
+from repro.live.loadd import HeartbeatReceiver
 from repro.live.master import MasterServer, PeerError
+from repro.sim.monitor import LoadTable
 from repro.workload.request import Request, RequestKind
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
@@ -84,10 +85,10 @@ def test_deep_nesting_is_a_protocol_error(data):
 def test_arbitrary_datagram_bytes_never_raise(data):
     msg = protocol.decode_heartbeat(data)
     assert msg is None or isinstance(msg, dict)
-    table = LoadTable(2)
-    accepted = table.observe_datagram(data, 1.0)
-    assert table.heartbeats + table.rejected == 1
-    assert accepted == (table.heartbeats == 1)
+    receiver = HeartbeatReceiver(LoadTable(2))
+    accepted = receiver.observe_datagram(data, 1.0)
+    assert receiver.heartbeats + receiver.rejected == 1
+    assert accepted == (receiver.heartbeats == 1)
 
 
 @FUZZ
@@ -97,9 +98,9 @@ def test_arbitrary_datagram_bytes_never_raise(data):
     json_values, max_size=6))
 def test_arbitrary_heartbeat_dicts_never_raise(msg):
     data = json.dumps(msg).encode()
-    table = LoadTable(2)
-    table.observe_datagram(data, 1.0)
-    assert table.heartbeats + table.rejected == 1
+    receiver = HeartbeatReceiver(LoadTable(2))
+    receiver.observe_datagram(data, 1.0)
+    assert receiver.heartbeats + receiver.rejected == 1
 
 
 @pytest.mark.parametrize("fields", [
@@ -108,12 +109,12 @@ def test_arbitrary_heartbeat_dicts_never_raise(msg):
 ], ids=["seq 1e300", "seq 2**63", "active 1e300", "active -2**64",
         "cpu_idle 10**400"])
 def test_heartbeat_field_past_int64_is_rejected(fields):
-    table = LoadTable(1)
-    assert not table.observe_datagram(
+    receiver = HeartbeatReceiver(LoadTable(1))
+    assert not receiver.observe_datagram(
         json.dumps({"node": 0, **fields}).encode(), 1.0)
-    assert (table.rejected, table.heartbeats) == (1, 0)
-    assert table.last_seq[0] == -1          # nothing was half-applied
-    assert table.observe_datagram(
+    assert (receiver.rejected, receiver.heartbeats) == (1, 0)
+    assert receiver.last_seq[0] == -1       # nothing was half-applied
+    assert receiver.observe_datagram(
         json.dumps({"node": 0, "seq": 1}).encode(), 1.0)
 
 
@@ -156,10 +157,10 @@ def test_hostile_frames_and_datagrams_end_cleanly_at_the_master():
             transport, _ = await loop.create_datagram_endpoint(
                 asyncio.DatagramProtocol,
                 remote_addr=(master.host, master.udp_port))
-            rejected = master.table.rejected
+            rejected = master.receiver.rejected
             transport.sendto(NESTED[0])
             for _ in range(200):
-                if master.table.rejected > rejected:
+                if master.receiver.rejected > rejected:
                     break
                 await asyncio.sleep(0.01)
             transport.close()
@@ -171,8 +172,8 @@ def test_hostile_frames_and_datagrams_end_cleanly_at_the_master():
                     break
                 await asyncio.sleep(0.01)
             peer_connected = master.peers[1].connected
-            table_rejected = master.table.rejected - rejected
-            node_dead = bool(master.table.dead[1])
+            table_rejected = master.receiver.rejected - rejected
+            node_dead = not master.table.alive[1]
         finally:
             await master.stop()
             peer_server.close()

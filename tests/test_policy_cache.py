@@ -17,9 +17,10 @@ import pytest
 from repro.control.actuator import SimAdapter
 from repro.control.controller import DEMOTE, PROMOTE, ControlAction
 from repro.core.policies import FrontEndMSPolicy, HeteroMSPolicy, make_ms
-from repro.live.loadd import LiveLoadView, LoadTable
+from repro.live.loadd import HeartbeatReceiver
 from repro.sim.cluster import Cluster
 from repro.sim.config import MonitorConfig, SimConfig
+from repro.sim.monitor import LoadTable, LoadView
 from tests.conftest import make_cgi, make_static
 from tests.test_policies import FakeView
 
@@ -147,16 +148,17 @@ class TestUnhealthyMasters:
     def test_suspect_master_in_live_view(self):
         cfg = MonitorConfig(period=0.2, smoothing=1.0, suspect_after=1.0,
                             probation_samples=2)
-        table = LoadTable(4, cfg)
-        for seq in range(1, 11):
-            for node in range(4):
-                if node != 1 or seq <= 2:     # master 1 goes silent
-                    table.observe(node, seq, 1.0, 1.0, 0, now=0.2 * seq)
-
         class Clock:
             now = 2.0
 
-        view = LiveLoadView(table, Clock())
+        table = LoadTable(4, cfg, clock=Clock())
+        receiver = HeartbeatReceiver(table)
+        for seq in range(1, 11):
+            for node in range(4):
+                if node != 1 or seq <= 2:     # master 1 goes silent
+                    receiver.observe(node, seq, 1.0, 1.0, 0, now=0.2 * seq)
+
+        view = LoadView(table, table.clock, receiver.active_requests)
         assert not view.all_healthy()
         policy = make_ms(4, 2, seed=6)
         accepts = {policy.route(make_static(req_id=i), view).node_id
@@ -195,17 +197,17 @@ LIVE_DECISIONS_SHA = (
 
 
 def _live_front_end_decisions():
-    """A FrontEndMSPolicy over a LiveLoadView whose telemetry drifts,
+    """A FrontEndMSPolicy over a live LoadView whose telemetry drifts,
     with a suspect node for part of the run."""
     cfg = MonitorConfig(period=0.2, smoothing=0.7, suspect_after=1.0,
                         probation_samples=2)
-    table = LoadTable(5, cfg)
-
     class Clock:
         now = 0.0
 
     clock = Clock()
-    view = LiveLoadView(table, clock)
+    table = LoadTable(5, cfg, clock=clock)
+    receiver = HeartbeatReceiver(table)
+    view = LoadView(table, clock, receiver.active_requests)
     policy = FrontEndMSPolicy(5, 2, accept_node=0, seed=11)
     rng = np.random.default_rng(12)
     out = []
@@ -216,8 +218,8 @@ def _live_front_end_decisions():
         for node in range(5):
             if node == 3 and 20 <= step < 30:
                 continue              # node 3 misses heartbeats: suspect
-            table.observe(node, seq, float(rng.uniform(0.05, 1.0)),
-                          float(rng.uniform(0.05, 1.0)), 0, now=clock.now)
+            receiver.observe(node, seq, float(rng.uniform(0.05, 1.0)),
+                             float(rng.uniform(0.05, 1.0)), 0, now=clock.now)
         for j in range(8):
             req_id = step * 8 + j
             req = (make_cgi(req_id=req_id) if j % 2 else

@@ -211,7 +211,7 @@ class TestSuspicion:
         cluster.fail_node(3)
         assert bool(cluster.alive[3])  # not yet formally detected
         cluster.run(until=1.0)         # a couple of monitor ticks
-        assert bool(cluster.monitor.suspect[3])
+        assert bool(cluster.table.suspect[3])
         assert not cluster.view.all_healthy()
         assert not cluster.view.healthy_array()[3]
         assert cluster.view.is_suspect(3)
@@ -240,13 +240,13 @@ class TestSuspicion:
         cluster.run(until=0.5)
         cluster.fail_node(3)
         cluster.run(until=1.0)
-        assert bool(cluster.monitor.suspect[3])
+        assert bool(cluster.table.suspect[3])
         cluster.recover_node(3)
         cluster.run(until=1.0 + period)
-        assert bool(cluster.monitor.suspect[3])   # still on probation
+        assert bool(cluster.table.suspect[3])     # still on probation
         cluster.run(until=1.0 + 4 * period)
-        assert not cluster.monitor.suspect[3]     # trusted again
-        assert not cluster.monitor.any_suspect
+        assert not cluster.table.suspect[3]       # trusted again
+        assert not cluster.table.suspect.any()
 
     def test_all_suspect_falls_back_to_alive(self):
         # Suspicion must degrade to the alive set, never to "no service".
