@@ -40,8 +40,7 @@ def pytest_configure(config: pytest.Config) -> None:
         # Quick-scale benches double as correctness smoke: run every
         # replay traced+audited (see src/repro/obs).  Full-scale runs
         # stay untraced — a 128-node Figure-4 grid would hold hundreds
-        # of millions of spans.  ``run_bench`` pops the variable so the
-        # wall-time ledger gate always measures the untraced hot path.
+        # of millions of spans.
         os.environ.setdefault("REPRO_AUDIT", "1")
 
 

@@ -17,8 +17,8 @@ the phase-0 Theorem-1 design:
   re-solves Theorem 1 every period, and promotes slaves / retunes
   theta'_2 as the estimate firms up.
 
-Documented tolerances (asserted below, recorded beside the perf ledger
-in ``CONTROL_DRIFT.json``):
+Documented tolerances (asserted below, recorded in
+``CONTROL_DRIFT.json``):
 
 * controlled stretch beats frozen by at least ``MIN_MARGIN`` (the
   measured margin is ~+40-55% across seeds at quick scale);
@@ -60,8 +60,7 @@ GAP_TOLERANCE = 2.5
 PHASES_QUICK = ((20.0, 0.60, 4.0), (5.0, 0.60, 10.0))
 PHASES_FULL = ((20.0, 0.60, 8.0), (5.0, 0.60, 20.0))
 
-#: Record written next to the ``BENCH_*.json`` perf ledger (uploaded by
-#: the same CI artifact step).
+#: Record of the measured margins (uploaded as a CI artifact).
 RECORD_PATH = pathlib.Path("CONTROL_DRIFT.json")
 
 

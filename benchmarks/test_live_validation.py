@@ -2,9 +2,8 @@
 
 Both substrates run the *same* scheduler code (M/S policy, reservation
 controller, RSRC selection) over the *same* generated ADL trace; this
-benchmark records the live/sim stretch ratio next to the perf ledger so a
-regression in either substrate — or a drift between them — shows up in
-the same place as a wall-time regression.
+benchmark asserts the live/sim stretch ratio so a regression in either
+substrate — or a drift between them — fails the benchmark run.
 
 Tolerance is deliberately generous (``repro.live.validate.TOLERANCE``,
 currently 4x either way): the CI host has one CPU core, so concurrent

@@ -37,10 +37,6 @@ Commands
     real loopback cluster instead.  ``--dry-run`` logs decisions without
     actuating; ``--spans`` saves the controlled run's auditable span
     stream (CONTROL spans included).
-``bench``
-    Run the perf suite (``--jobs N`` fans the grids over worker
-    processes) and emit a machine-readable ``BENCH_<timestamp>.json``
-    record; gates against ``benchmarks/baseline.json`` when present.
 """
 
 from __future__ import annotations
@@ -61,7 +57,6 @@ from repro.obs import (
     save_jsonl,
     summarize_spans,
 )
-from repro.perf.bench import add_bench_parser
 from repro.sim.config import paper_sim_config
 from repro.sim.failures import CHAOS_SCENARIOS
 from repro.workload.io import load_trace, save_trace
@@ -738,8 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-scale", type=float, default=1.0,
                    help="inter-arrival scaling for --live")
     p.set_defaults(rate=60.0, func=cmd_control)
-
-    add_bench_parser(sub)
 
     return parser
 

@@ -18,12 +18,7 @@ import numpy as np
 
 from repro.analysis.figures import grouped_bar_chart, line_plot
 from repro.analysis.reporting import format_table
-from repro.analysis.sweep import (
-    BakeoffResult,
-    BakeoffSpec,
-    choose_masters,
-    run_bakeoff_grid,
-)
+from repro.analysis.sweep import BakeoffResult, choose_masters, run_bakeoff
 from repro.core.policies import make_ms, make_policy
 from repro.obs import Tracer, audit_cluster
 from repro.core.queuing import Workload, best_msprime, flat_stretch
@@ -262,16 +257,14 @@ def run_fig4(
     base_duration: float = 10.0,
     seed: int = 11,
     mu_h: float = 1200.0,
-    jobs: int = 1,
 ) -> Fig4Result:
     """Replay the Figure-4 grid: {UCB,KSU,ADL} x load ladder x 1/r x {p}.
 
     ``base_duration`` is the replayed trace span for a 32-node cluster;
     larger clusters replay proportionally shorter spans so each grid point
-    simulates a comparable number of requests.  ``jobs`` fans the grid
-    points out over worker processes; results are identical to ``jobs=1``.
+    simulates a comparable number of requests.
     """
-    points: List[BakeoffSpec] = []
+    results: List[BakeoffResult] = []
     utils: Dict[Tuple[str, float, int, int], float] = {}
     for p in p_values:
         duration = max(3.0, base_duration * 32.0 / p)
@@ -280,11 +273,10 @@ def run_fig4(
                 for inv_r in inv_r_values:
                     r = 1.0 / inv_r
                     lam = iso_load_rate(spec, mu_h, r, p, util)
-                    points.append(BakeoffSpec(
-                        spec_name=spec.name, lam=lam, r=r, p=p,
-                        duration=duration, mu_h=mu_h, seed=seed))
+                    results.append(run_bakeoff(
+                        spec, lam=lam, r=r, p=p, duration=duration,
+                        mu_h=mu_h, seed=seed))
                     utils[(spec.name, lam, p, inv_r)] = util
-    results = run_bakeoff_grid(points, jobs=jobs)
     return Fig4Result(results=results, utilizations=utils)
 
 
@@ -417,41 +409,29 @@ def run_fig5(
     seed: int = 23,
     configs: Optional[Dict[int, Tuple[Tuple[str, float, int], ...]]] = None,
     mu_h: float = 1200.0,
-    jobs: int = 1,
 ) -> Fig5Result:
-    """Degradation of M/S with a fixed master count vs per-config sizing.
-
-    ``jobs`` fans the fixed/adaptive replays out over worker processes;
-    results are identical to ``jobs=1``.
-    """
+    """Degradation of M/S with a fixed master count vs per-config sizing."""
     configs = configs or FIG5_CONFIGS
     m_fixed_by_p = {p: fixed_master_count(p, mu_h) for p in p_values}
-    meta: List[Tuple[str, int, float, int, int, int]] = []
-    points: List[BakeoffSpec] = []
+    rows: List[Fig5Row] = []
     for p in p_values:
         span = max(3.0, duration * 32.0 / p)
+        m_fixed = m_fixed_by_p[p]
         for trace_name, util, inv_r in configs[p]:
             spec = TRACES[trace_name]
             r = 1.0 / inv_r
             lam = iso_load_rate(spec, mu_h, r, p, util)
             m_adapt = choose_masters(spec, lam, mu_h, r, p)
-            common = dict(spec_name=trace_name, lam=lam, r=r, p=p,
-                          duration=span, mu_h=mu_h, seed=seed,
-                          policies=("MS",))
-            points.append(BakeoffSpec(m=m_fixed_by_p[p], **common))
-            points.append(BakeoffSpec(m=m_adapt, **common))
-            meta.append((trace_name, p, lam, inv_r, m_fixed_by_p[p],
-                         m_adapt))
-    results = run_bakeoff_grid(points, jobs=jobs)
-    rows: List[Fig5Row] = []
-    for i, (trace_name, p, lam, inv_r, m_fixed, m_adapt) in enumerate(meta):
-        fixed, adaptive = results[2 * i], results[2 * i + 1]
-        rows.append(Fig5Row(
-            trace=trace_name, p=p, lam=lam, inv_r=inv_r,
-            m_fixed=m_fixed, m_adaptive=m_adapt,
-            stretch_fixed=fixed.stretch("MS"),
-            stretch_adaptive=adaptive.stretch("MS"),
-        ))
+            fixed, adaptive = (
+                run_bakeoff(spec, lam=lam, r=r, p=p, duration=span,
+                            mu_h=mu_h, seed=seed, policies=("MS",), m=m)
+                for m in (m_fixed, m_adapt))
+            rows.append(Fig5Row(
+                trace=trace_name, p=p, lam=lam, inv_r=inv_r,
+                m_fixed=m_fixed, m_adaptive=m_adapt,
+                stretch_fixed=fixed.stretch("MS"),
+                stretch_adaptive=adaptive.stretch("MS"),
+            ))
     return Fig5Result(rows=rows, m_fixed=m_fixed_by_p)
 
 
@@ -742,27 +722,6 @@ def run_chaos(
         horizon = max(horizon, cluster.engine.now)
     return ChaosResult(scenario=scenario, horizon=horizon, rows=rows,
                        audited=audit, audit_spans=audit_spans)
-
-
-def _chaos_task(kwargs: Dict[str, object]) -> ChaosResult:
-    """Worker for :func:`run_chaos_suite` (module-level so it pickles)."""
-    return run_chaos(**kwargs)
-
-
-def run_chaos_suite(
-    scenarios: Sequence[str],
-    jobs: int = 1,
-    **kwargs: object,
-) -> List[ChaosResult]:
-    """Run several chaos scenarios, ``jobs`` worker processes at a time.
-
-    ``kwargs`` are passed through to :func:`run_chaos` for every scenario.
-    Results come back in the scenarios' order.
-    """
-    from repro.perf.pool import run_values
-
-    payloads = [dict(kwargs, scenario=name) for name in scenarios]
-    return run_values(_chaos_task, payloads, jobs)
 
 
 # ---------------------------------------------------------------------------

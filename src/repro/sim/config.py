@@ -250,11 +250,6 @@ class SimConfig:
     num_nodes: int = 32
     static_rate: float = 1200.0
     seed: int = 0
-    #: Worker processes used when this configuration's experiments fan out
-    #: over the :mod:`repro.perf.pool` runner (1 = serial).  Purely a
-    #: harness knob: it never changes simulated behaviour, only how many
-    #: configurations replay concurrently.
-    parallelism: int = 1
 
     cpu: CPUConfig = field(default_factory=CPUConfig)
     disk: DiskConfig = field(default_factory=DiskConfig)
@@ -279,9 +274,6 @@ class SimConfig:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.static_rate <= 0:
             raise ValueError("static_rate must be positive")
-        if self.parallelism < 1:
-            raise ValueError(
-                f"parallelism must be >= 1, got {self.parallelism}")
         for name, speeds in (("cpu_speeds", self.cpu_speeds),
                              ("disk_speeds", self.disk_speeds)):
             if speeds is None:
