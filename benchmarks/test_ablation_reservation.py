@@ -38,11 +38,12 @@ def test_ablation_reservation_modes(benchmark):
             rows["adaptive"].append(
                 replay(cfg.copy(), adaptive, trace).report.overall.stretch)
 
+            # Without its tuner the gate keeps the cap it was given.
             fixed = MSPolicy(
                 p, m, sampler=sampler, seed=seed + 9,
-                reservation_cfg=ReservationConfig(
-                    theta_init=analytic_cap, update_period=1e9),
+                reservation_cfg=ReservationConfig(theta_init=analytic_cap),
             )
+            fixed.tuner = None
             rows["fixed-analytic"].append(
                 replay(cfg.copy(), fixed, trace).report.overall.stretch)
 

@@ -16,9 +16,9 @@ import numpy as np
 from repro import (
     Cluster,
     KSU,
+    MSPolicy,
     ReservationConfig,
     generate_trace,
-    make_ms,
     paper_sim_config,
     pretrain_sampler,
     reservation_ratio,
@@ -33,8 +33,8 @@ DURATION = 30.0
 
 def run_with_initial_cap(theta_init: float, trace, sampler):
     cfg = paper_sim_config(num_nodes=NODES, seed=3)
-    policy = make_ms(
-        NODES, MASTERS, sampler, seed=4,
+    policy = MSPolicy(
+        NODES, MASTERS, sampler=sampler, seed=4,
         reservation_cfg=ReservationConfig(theta_init=theta_init,
                                           update_period=0.5),
     )
@@ -70,8 +70,8 @@ def main() -> None:
         final = samples[-1][1]
         print(f"theta_init={init:.1f}: cap after {samples[-1][0]:.0f}s of "
               f"traffic = {final:.3f} "
-              f"(a_est={policy.reservation.a_estimate:.2f}, "
-              f"r_est={policy.reservation.r_estimate:.4f})")
+              f"(a_est={policy.tuner.a_estimate:.2f}, "
+              f"r_est={policy.tuner.r_estimate:.4f})")
 
     lo = np.array([c for _, c in trajectories[0.0]])
     hi = np.array([c for _, c in trajectories[1.0]])

@@ -57,7 +57,8 @@ _EXPORTS = {
         "hetero_flat_stretch", "hetero_reservation_ratio"),
     "repro.core.rsrc": ("rsrc_cost", "select_min_rsrc"),
     "repro.core.sampling": ("DemandSampler",),
-    "repro.core.reservation": ("ReservationController", "ReservationConfig"),
+    "repro.core.reservation": (
+        "ReservationGate", "ReservationController", "ReservationConfig"),
     "repro.core.stretch": (
         "stretch_factor", "combine_stretch", "improvement_percent"),
     "repro.analysis.planner": (

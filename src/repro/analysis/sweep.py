@@ -135,8 +135,9 @@ def run_bakeoff(
     trace = generate_trace(spec, rate=lam, duration=duration, mu_h=mu_h,
                            r=r, seed=seed)
     sampler = pretrain_sampler(trace, seed=seed)
-    base_cfg = cfg if cfg is not None else paper_sim_config(num_nodes=p,
-                                                            seed=seed)
+    # A copy, so the caller's config keeps its own static rate.
+    base_cfg = (cfg.copy() if cfg is not None
+                else paper_sim_config(num_nodes=p, seed=seed))
     base_cfg.static_rate = mu_h
     reports = {}
     for name in policies:

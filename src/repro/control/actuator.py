@@ -1,7 +1,10 @@
 """Substrate adapters: how control decisions touch a running cluster.
 
 Two adapters present the same :class:`~repro.control.controller.ControlAdapter`
-surface to the reconciliation loop:
+surface to the reconciliation loop.  One core holds what they share —
+the policy and ledger, the tuning actions, the role-change validation
+and ``set_masters`` call — and each substrate adds only its clock, its
+promotion candidate and its side of a role change:
 
 :class:`SimAdapter`
     Mutates a live :class:`~repro.sim.cluster.Cluster` mid-run — swaps
@@ -51,6 +54,7 @@ from repro.control.estimator import WorkloadEstimator
 from repro.control.log import ControlLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
+    from repro.core.policies import MSPolicy
     from repro.live.master import MasterServer
     from repro.sim.cluster import Cluster
     from repro.sim.metrics import MetricsCollector
@@ -58,35 +62,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
 __all__ = ["SimAdapter", "SimControlLoop", "LiveAdapter", "LiveControlLoop"]
 
 
-def _apply_tuning(policy, action: ControlAction) -> bool:
-    """Shared RETUNE_THETA / SET_W actuation against an M/S policy."""
-    if action.kind == RETUNE_THETA:
-        res = getattr(policy, "reservation", None)
-        if res is None or action.value is None:
-            return False
-        res.theta_cap = float(action.value)
-        return True
-    if action.kind == SET_W:
-        if action.value is None:
-            return False
-        w = min(1.0, max(0.0, float(action.value)))
-        policy.default_w = w
-        sampler = getattr(policy, "sampler", None)
-        if sampler is not None:
-            sampler.default_w = w
-        return True
-    return False
+class _PolicyAdapter:
+    """What both substrates share: the M/S policy the control plane
+    tunes, the request ledger its estimator learns from, and every
+    action whose logic does not depend on the substrate.
 
+    A subclass supplies ``now``, ``num_nodes``, :meth:`promote_candidate`
+    and :meth:`_role_changed`, the substrate's side of a role change.
+    """
 
-class _LedgerFeed:
-    """The estimator feed both adapters share: every request-ledger row
-    recorded since the last poll, as ``(kind, cpu, io)``."""
+    def __init__(self, policy: "MSPolicy",
+                 ledger: "MetricsCollector") -> None:
+        self.policy = policy
+        self.ledger = ledger
+        self._ingested = 0
 
-    ledger: "MetricsCollector"
-    _ingested = 0
+    # -- observation -----------------------------------------------------------
 
     def poll(self, estimator: WorkloadEstimator) -> int:
-        """Feed completions recorded since the last tick."""
+        """Feed the estimator every ledger row recorded since the last
+        poll, as ``(kind, cpu, io)``."""
         start = end = self._ingested
         for _, _, _, cpu, io, kind, _, _, _ in self.ledger.rows(start):
             estimator.observe(kind, cpu, io)
@@ -94,18 +89,80 @@ class _LedgerFeed:
         self._ingested = end
         return end - start
 
+    def master_ids(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.policy.master_ids))
+
+    def theta_cap(self) -> float:
+        gate = self.policy.reservation
+        return gate.theta_cap if gate is not None else 1.0
+
+    def rsrc_w(self) -> float:
+        return self.policy.default_w
+
+    def own_cap(self) -> None:
+        """Make the control plane the one writer of theta'_2: detach the
+        policy's own loop, so every cap in force is traceable to a
+        recorded CONTROL action."""
+        self.policy.tuner = None
+
+    def demote_candidate(self, min_masters: int) -> Optional[int]:
+        """Highest-id demotable master (never the front-end accept node)."""
+        masters = sorted(self.policy.master_ids, reverse=True)
+        if len(masters) <= min_masters:
+            return None
+        accept = getattr(self.policy, "accept_node", None)
+        for i in masters:
+            if i != accept:
+                return i
+        return None
+
+    # -- actuation -------------------------------------------------------------
+
+    def apply(self, action: ControlAction) -> bool:
+        policy = self.policy
+        if action.kind == RETUNE_THETA:
+            if policy.reservation is None or action.value is None:
+                return False
+            policy.reservation.theta_cap = float(action.value)
+            return True
+        if action.kind == SET_W:
+            if action.value is None:
+                return False
+            policy.default_w = min(1.0, max(0.0, float(action.value)))
+            return True
+        masters = set(policy.master_ids)
+        if action.kind == PROMOTE:
+            if action.node_id in masters:
+                return False
+            masters.add(action.node_id)
+        elif action.kind == DEMOTE:
+            if (action.node_id not in masters or len(masters) <= 1
+                    or action.node_id == getattr(policy, "accept_node", None)):
+                return False
+            # Graceful role drain: no aborts — in-flight work routed while
+            # the node was a master finishes on it (conservation tracks
+            # requests, not roles); the node merely stops being a static/
+            # accept target from this instant.
+            masters.discard(action.node_id)
+        else:
+            return False
+        policy.set_masters(masters)
+        self._role_changed(action.node_id, action.kind == PROMOTE)
+        return True
+
+    def _role_changed(self, node_id: int, promoted: bool) -> None:
+        raise NotImplementedError
+
 
 # -- simulator substrate ------------------------------------------------------
 
 
-class SimAdapter(_LedgerFeed):
+class SimAdapter(_PolicyAdapter):
     """Control-plane view of a running simulated cluster."""
 
     def __init__(self, cluster: "Cluster") -> None:
+        super().__init__(cluster.policy, cluster.metrics)
         self.cluster = cluster
-        self.ledger = cluster.metrics
-
-    # -- observation -----------------------------------------------------------
 
     @property
     def now(self) -> float:
@@ -115,27 +172,10 @@ class SimAdapter(_LedgerFeed):
     def num_nodes(self) -> int:
         return len(self.cluster.nodes)
 
-    def master_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.cluster.policy.master_ids))
-
-    def theta_cap(self) -> float:
-        res = self.cluster.policy.reservation
-        return res.theta_cap if res is not None else 1.0
-
-    def rsrc_w(self) -> float:
-        return self.cluster.policy.default_w
-
-    def own_cap(self) -> None:
-        res = self.cluster.policy.reservation
-        if res is not None:
-            res.external_cap = True
-
-    # -- role candidates -------------------------------------------------------
-
     def promote_candidate(self) -> Optional[int]:
         """Lowest-id healthy slave: alive, not draining, not suspect."""
         cluster = self.cluster
-        masters = set(cluster.policy.master_ids)
+        masters = set(self.policy.master_ids)
         suspect = cluster.table.suspect
         best_fallback: Optional[int] = None
         for i in range(len(cluster.nodes)):
@@ -149,46 +189,11 @@ class SimAdapter(_LedgerFeed):
                 best_fallback = i
         return best_fallback
 
-    def demote_candidate(self, min_masters: int) -> Optional[int]:
-        """Highest-id demotable master (never the front-end accept node)."""
-        policy = self.cluster.policy
-        masters = sorted(policy.master_ids, reverse=True)
-        if len(masters) <= min_masters:
-            return None
-        accept = getattr(policy, "accept_node", None)
-        for i in masters:
-            if i != accept:
-                return i
-        return None
-
-    # -- actuation -------------------------------------------------------------
-
-    def apply(self, action: ControlAction) -> bool:
-        policy = self.cluster.policy
-        if action.kind in (RETUNE_THETA, SET_W):
-            return _apply_tuning(policy, action)
-        masters = set(policy.master_ids)
-        if action.kind == PROMOTE:
-            if action.node_id in masters:
-                return False
-            masters.add(action.node_id)
-            policy.set_masters(masters)
+    def _role_changed(self, node_id: int, promoted: bool) -> None:
+        if promoted:
             # Re-register with the monitor: re-baseline busy counters so
             # the next sample measures the node in its new role.
-            self.cluster.monitor.reregister(action.node_id)
-            return True
-        if action.kind == DEMOTE:
-            if (action.node_id not in masters or len(masters) <= 1
-                    or action.node_id == getattr(policy, "accept_node", None)):
-                return False
-            masters.discard(action.node_id)
-            # Graceful role drain: no aborts — in-flight work routed while
-            # the node was a master finishes on it (conservation tracks
-            # requests, not roles); the node merely stops being a static/
-            # accept target from this instant.
-            policy.set_masters(masters)
-            return True
-        return False
+            self.cluster.monitor.reregister(node_id)
 
 
 class SimControlLoop:
@@ -224,12 +229,12 @@ class SimControlLoop:
 # -- live substrate -----------------------------------------------------------
 
 
-class LiveAdapter(_LedgerFeed):
+class LiveAdapter(_PolicyAdapter):
     """Control-plane view of the live master (PR-4 substrate)."""
 
     def __init__(self, master: "MasterServer") -> None:
+        super().__init__(master.policy, master.metrics)
         self.master = master
-        self.ledger = master.metrics
         self._role_seq = 0
 
     @property
@@ -240,25 +245,10 @@ class LiveAdapter(_LedgerFeed):
     def num_nodes(self) -> int:
         return self.master.num_nodes
 
-    def master_ids(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.master.policy.master_ids))
-
-    def theta_cap(self) -> float:
-        res = self.master.policy.reservation
-        return res.theta_cap if res is not None else 1.0
-
-    def rsrc_w(self) -> float:
-        return self.master.policy.default_w
-
-    def own_cap(self) -> None:
-        res = self.master.policy.reservation
-        if res is not None:
-            res.external_cap = True
-
     def promote_candidate(self) -> Optional[int]:
         """Lowest-id connected slave whose heartbeats are current."""
         master = self.master
-        masters = set(master.policy.master_ids)
+        masters = set(self.policy.master_ids)
         suspect = master.table.suspect_array(master.clock.now)
         best_fallback: Optional[int] = None
         for i in sorted(master.peers):
@@ -271,59 +261,27 @@ class LiveAdapter(_LedgerFeed):
                 best_fallback = i
         return best_fallback
 
-    def demote_candidate(self, min_masters: int) -> Optional[int]:
-        """Highest-id master other than the front-end node itself."""
-        master = self.master
-        masters = sorted(master.policy.master_ids, reverse=True)
-        if len(masters) <= min_masters:
-            return None
-        for i in masters:
-            if i != master.policy.accept_node:
-                return i
-        return None
-
-    def apply(self, action: ControlAction) -> bool:
-        master = self.master
-        policy = master.policy
-        if action.kind in (RETUNE_THETA, SET_W):
-            return _apply_tuning(policy, action)
-        masters = set(policy.master_ids)
-        if action.kind == PROMOTE:
-            if action.node_id in masters:
-                return False
-            masters.add(action.node_id)
-        elif action.kind == DEMOTE:
-            if (action.node_id not in masters
-                    or action.node_id == policy.accept_node
-                    or len(masters) <= 1):
-                return False
-            masters.discard(action.node_id)
-        else:
-            return False
-        policy.set_masters(masters)
-        self._notify_role(action.node_id,
-                          "master" if action.kind == PROMOTE else "slave")
-        # loadd re-registration: heartbeat probation restarts so dispatch
-        # treats the node cautiously until it reports in its new role.
-        master.table.set_alive(action.node_id, True)
-        master.table.restart_probation(action.node_id)
-        return True
-
-    def _notify_role(self, node_id: int, role: str) -> None:
-        """Best-effort ROLE frame to the affected node (ack is async)."""
+    def _role_changed(self, node_id: int, promoted: bool) -> None:
+        """Best-effort ROLE frame to the affected node (ack is async),
+        then loadd re-registration: heartbeat probation restarts so
+        dispatch treats the node cautiously until it reports in its new
+        role."""
         from repro.live import protocol
 
-        peer = self.master.peers.get(node_id)
-        if peer is None or peer.writer is None:
-            return
-        self._role_seq += 1
-        try:
-            protocol.send_message(peer.writer, {
-                "op": "role", "node": node_id, "role": role,
-                "seq": self._role_seq,
-            })
-        except (ConnectionResetError, RuntimeError):
-            pass   # reader loop handles the disconnect bookkeeping
+        master = self.master
+        peer = master.peers.get(node_id)
+        if peer is not None and peer.writer is not None:
+            self._role_seq += 1
+            try:
+                protocol.send_message(peer.writer, {
+                    "op": "role", "node": node_id,
+                    "role": "master" if promoted else "slave",
+                    "seq": self._role_seq,
+                })
+            except (ConnectionResetError, RuntimeError):
+                pass   # reader loop handles the disconnect bookkeeping
+        master.table.set_alive(node_id, True)
+        master.table.restart_probation(node_id)
 
 
 class LiveControlLoop:

@@ -101,8 +101,10 @@ class ControlAdapter(Protocol):
     Implementations: :class:`repro.control.actuator.SimAdapter` (mutates
     a running :class:`~repro.sim.cluster.Cluster`) and
     :class:`repro.control.actuator.LiveAdapter` (drives the PR-4 wire
-    protocol from the live master).  Both share one :meth:`poll`: it feeds
-    the estimator the request-ledger rows recorded since the last poll.
+    protocol from the live master).  Both share one core: among the rest,
+    :meth:`poll` feeds the estimator the request-ledger rows recorded
+    since the last poll, and :meth:`own_cap` detaches the policy's own
+    theta'_2 loop.
     """
 
     @property
@@ -158,9 +160,9 @@ class Controller:
         p = self.adapter.num_nodes
         masters = self.adapter.master_ids()
         if not self.cfg.dry_run:
-            # The control plane becomes the sole writer of theta'_2; the
-            # policy-local response-ratio feedback keeps estimating but
-            # stops actuating (see ReservationController.external_cap).
+            # The control plane becomes the one writer of theta'_2: the
+            # policy's own response-ratio loop is detached.  A dry run
+            # leaves it writing the cap.
             self.adapter.own_cap()
         self.log.attach(self.cfg, len(masters), p,
                         theta0=self.adapter.theta_cap(),

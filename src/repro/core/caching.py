@@ -136,10 +136,9 @@ class CachingMSPolicy(MSPolicy):
             size = self.cache.lookup(request.cache_key, view.now)
             if size is not None:
                 # Serve the hit at the accepting master as a cheap send.
-                if self.reservation is not None:
+                if self.tuner is not None:
                     # Hits load masters like statics, not like CGI.
-                    self.reservation.observe_arrival(RequestKind.STATIC,
-                                                     view.now)
+                    self.tuner.observe_arrival(RequestKind.STATIC, view.now)
                 accept = self._random_alive_master(view)
                 substitute = Request(
                     req_id=request.req_id,
@@ -162,9 +161,9 @@ class CachingMSPolicy(MSPolicy):
             # the static estimate; the dynamic EWMA and the sampler only
             # learn from executed CGIs.
             self._release(request, node_id)
-            if self.reservation is not None:
-                self.reservation.observe_response(RequestKind.STATIC,
-                                                  response_time)
+            if self.tuner is not None:
+                self.tuner.observe_response(RequestKind.STATIC,
+                                            response_time)
             return
         super().on_complete(request, response_time, on_master, node_id)
         if (request.kind is RequestKind.DYNAMIC

@@ -18,7 +18,11 @@ from typing import Iterable, List, Optional, Protocol, Sequence
 import numpy as np
 
 from repro.core.draws import BlockStream
-from repro.core.reservation import ReservationConfig, ReservationController
+from repro.core.reservation import (
+    ReservationConfig,
+    ReservationController,
+    ReservationGate,
+)
 from repro.core.rsrc import DEFAULT_W, rsrc_cost, select_min_rsrc
 from repro.core.sampling import DemandSampler
 from repro.workload.request import Request, RequestKind
@@ -324,8 +328,12 @@ class MSPolicy(Policy):
       plus — when the reservation gate admits — the masters;
     * the CPU weight ``w`` per request family comes from the offline
       :class:`DemandSampler` (Equation 5), defaulting to 0.5;
-    * the reservation cap ``theta'_2`` adapts online from monitored ``a``
-      and response-time-approximated ``r``.
+    * the reservation gate (:attr:`reservation`) caps the master share of
+      dynamic work at ``theta'_2``, which the paper's loop
+      (:attr:`tuner`) adapts online from monitored ``a`` and
+      response-time-approximated ``r``.  Setting ``tuner = None`` fixes
+      the cap, or hands it to the one other writer, an attached control
+      plane.
 
     Ablations are expressed by the flags (factories below):
 
@@ -346,15 +354,22 @@ class MSPolicy(Policy):
             raise ValueError(
                 f"need 1 <= num_masters <= num_nodes; got {num_masters}"
             )
+        if not 0.0 <= default_w <= 1.0:
+            raise ValueError("default_w must be in [0, 1]")
         super().__init__(num_nodes, range(num_masters), seed)
         self.use_sampling = use_sampling
         self.sampler = sampler if use_sampling else None
+        #: CPU weight of a family the sampler has not seen (or of every
+        #: request, without a sampler).
         self.default_w = default_w
         self.use_reservation = use_reservation and num_masters < num_nodes
-        self.reservation: Optional[ReservationController] = (
-            ReservationController(num_masters, num_nodes, reservation_cfg)
-            if self.use_reservation else None
-        )
+        self.reservation: Optional[ReservationGate] = None
+        self.tuner: Optional[ReservationController] = None
+        if self.use_reservation:
+            cfg = reservation_cfg or ReservationConfig()
+            self.reservation = ReservationGate(cfg)
+            self.tuner = ReservationController(self.reservation, num_masters,
+                                               num_nodes, cfg)
         # In-flight dynamic work per node, split by resource using each
         # request's sampled CPU weight.  A master performing remote CGI
         # execution knows what it has sent and not yet seen complete;
@@ -375,8 +390,8 @@ class MSPolicy(Policy):
     # -- routing -------------------------------------------------------------
 
     def route(self, request: Request, view: LoadView) -> Route:
-        if self.reservation is not None:
-            self.reservation.observe_arrival(request.kind, view.now)
+        if self.tuner is not None:
+            self.tuner.observe_arrival(request.kind, view.now)
         accept = self._random_alive_master(view)
         if request.kind is RequestKind.STATIC:
             return self._local[accept]
@@ -448,8 +463,8 @@ class MSPolicy(Policy):
     def _route_dynamic(self, request: Request, view: LoadView,
                        accept: int) -> Route:
         candidates, gate = self._candidates(view)
-        w = (self.sampler.w(request.type_key) if self.sampler is not None
-             else self.default_w)
+        w = (self.sampler.w(request.type_key, self.default_w)
+             if self.sampler is not None else self.default_w)
         eff_cpu, eff_disk = self._effective_idle(view)
         # The stream, not ``self.rng``: a tie draw re-syncs it only when
         # one happens.
@@ -479,8 +494,8 @@ class MSPolicy(Policy):
     def on_complete(self, request: Request, response_time: float,
                     on_master: bool, node_id: int) -> None:
         self._release(request, node_id)
-        if self.reservation is not None:
-            self.reservation.observe_response(request.kind, response_time)
+        if self.tuner is not None:
+            self.tuner.observe_response(request.kind, response_time)
         # Online refinement of the sampler from real executions keeps the
         # offline estimates fresh (harmless if already trained).
         if (self.sampler is not None
@@ -499,12 +514,12 @@ class MSPolicy(Policy):
     def set_masters(self, master_ids: Iterable[int]) -> None:
         """Role change plus reservation bookkeeping: the cap formula
         theta_2(a, r, m, p) depends on the master count, so the
-        reservation controller's ``m`` follows the new split.  In-flight
+        tuner's ``m`` follows the new split.  In-flight
         bookkeeping (``_outstanding_*``, ``_dispatched_w``) is keyed by
         node/request, not role, and is deliberately left alone."""
         super().set_masters(master_ids)
-        if self.reservation is not None:
-            self.reservation.m = self.num_masters
+        if self.tuner is not None:
+            self.tuner.m = self.num_masters
 
 
 class FrontEndMSPolicy(MSPolicy):
@@ -519,7 +534,7 @@ class FrontEndMSPolicy(MSPolicy):
     usual reservation-gated min-RSRC choice, with ``remote`` meaning "not
     this process" (one intra-cluster dispatch hop).
 
-    Each front end carries its own reservation controller and sampler
+    Each front end carries its own reservation gate, tuner and sampler
     state, mirroring the paper's implementation where every master makes
     decisions from its own periodically-refreshed load view.
     """
@@ -672,20 +687,17 @@ class RedirectMSPolicy(MSPolicy):
 
 
 def make_ms(num_nodes: int, num_masters: int,
-            sampler: Optional[DemandSampler] = None, seed: int = 0,
-            reservation_cfg: Optional[ReservationConfig] = None) -> MSPolicy:
+            sampler: Optional[DemandSampler] = None,
+            seed: int = 0) -> MSPolicy:
     """The full optimized scheduler ("M/S")."""
     return MSPolicy(num_nodes, num_masters, sampler=sampler,
-                    use_sampling=True, use_reservation=True,
-                    reservation_cfg=reservation_cfg, seed=seed)
+                    use_sampling=True, use_reservation=True, seed=seed)
 
 
-def make_ms_ns(num_nodes: int, num_masters: int, seed: int = 0,
-               reservation_cfg: Optional[ReservationConfig] = None) -> MSPolicy:
+def make_ms_ns(num_nodes: int, num_masters: int, seed: int = 0) -> MSPolicy:
     """M/S-ns: no demand sampling; ``w = 0.5`` for every request."""
     return MSPolicy(num_nodes, num_masters, sampler=None,
-                    use_sampling=False, use_reservation=True,
-                    reservation_cfg=reservation_cfg, seed=seed)
+                    use_sampling=False, use_reservation=True, seed=seed)
 
 
 def make_ms_nr(num_nodes: int, num_masters: int,

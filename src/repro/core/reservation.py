@@ -18,6 +18,11 @@ shrinks because the ``(r/a)(m/p - 1)`` penalty term shrinks), admitting
 more CGIs to masters.  If the cap is too high, master-side static
 responses inflate, ``r_est`` rises, and the cap comes back down.  The
 test suite checks convergence from both extreme initial caps.
+
+:class:`ReservationGate` holds the cap and gates on it;
+:class:`ReservationController` is the loop that writes it.  A policy
+without the loop (an attached control plane detached it, or a fixed-cap
+ablation) keeps whatever cap its gate was given.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from repro.workload.request import RequestKind
 
 @dataclass(slots=True)
 class ReservationConfig:
-    """Tunables of the adaptive controller."""
+    """Tunables of the gate and of the adaptive controller."""
 
     #: Seconds between cap recomputations.
     update_period: float = 1.0
@@ -52,43 +57,83 @@ class ReservationConfig:
             raise ValueError("min_arrivals must be >= 1")
 
 
-class ReservationController:
-    """Tracks ``a``, approximates ``r``, and maintains the cap
-    ``theta'_2`` plus the running master-admission fraction it gates on.
+class ReservationGate:
+    """The cap ``theta'_2`` plus the running master-admission fraction
+    it gates on.
 
     Usage (the M/S policy drives this):
 
-    * :meth:`observe_arrival` on every routed request;
     * :meth:`admit_to_master` when routing a dynamic request — ``True``
       means masters may be considered;
-    * :meth:`record_decision` with the actual placement;
-    * :meth:`observe_response` on every completion.
+    * :meth:`record_decision` with the actual placement.
+
+    ``theta_cap`` has one writer at a time: the paper's loop
+    (:class:`ReservationController`, the policy's ``tuner``) or, once it
+    detaches that loop, an attached control plane (``repro.control``).
     """
 
-    __slots__ = ("cfg", "m", "p", "theta_cap", "cap_scale", "external_cap",
-                 "master_fraction", "_resp_static", "_resp_dynamic",
+    __slots__ = ("smoothing", "theta_cap", "cap_scale", "master_fraction")
+
+    def __init__(self, cfg: ReservationConfig | None = None):
+        cfg = cfg or ReservationConfig()
+        cfg.validate()
+        #: EWMA factor of :attr:`master_fraction`.
+        self.smoothing = cfg.smoothing
+        self.theta_cap = cfg.theta_init
+        #: External pressure multiplier on the cap (overload shedding
+        #: tightens it toward 0 so masters keep serving static traffic).
+        self.cap_scale = 1.0
+        #: EWMA of the fraction of dynamic requests sent to masters.
+        self.master_fraction = 0.0
+
+    def set_pressure(self, scale: float) -> None:
+        """Scale the effective cap by ``scale`` in [0, 1].
+
+        Called by the overload controller: ``0.0`` closes masters to new
+        dynamic work entirely; ``1.0`` restores the cap.  ``theta_cap``
+        itself keeps following its writer throughout, so releasing
+        pressure resumes from an up-to-date cap.
+        """
+        self.cap_scale = min(1.0, max(0.0, scale))
+
+    @property
+    def effective_cap(self) -> float:
+        """The cap actually gated on: ``theta_cap * cap_scale``."""
+        return self.theta_cap * self.cap_scale
+
+    def admit_to_master(self) -> bool:
+        """May the next dynamic request consider master nodes?"""
+        return self.master_fraction < self.effective_cap
+
+    def record_decision(self, to_master: bool) -> None:
+        """Update the running master-admission fraction the gate uses."""
+        s = self.smoothing
+        self.master_fraction = (
+            s * (1.0 if to_master else 0.0) + (1 - s) * self.master_fraction
+        )
+
+
+class ReservationController:
+    """The paper's self-stabilising loop: tracks ``a``, approximates
+    ``r``, and writes the Theorem-1 cap into ``gate.theta_cap``.
+
+    The M/S policy feeds it :meth:`observe_arrival` on every routed
+    request and :meth:`observe_response` on every completion.
+    """
+
+    __slots__ = ("gate", "cfg", "m", "p", "_resp_static", "_resp_dynamic",
                  "_arr_static", "_arr_dynamic", "_a_est", "_next_update",
                  "updates")
 
-    def __init__(self, m: int, p: int,
+    def __init__(self, gate: ReservationGate, m: int, p: int,
                  cfg: ReservationConfig | None = None):
         if not 1 <= m <= p:
             raise ValueError(f"need 1 <= m <= p; got m={m}, p={p}")
         self.cfg = cfg or ReservationConfig()
         self.cfg.validate()
+        self.gate = gate
         self.m = m
         self.p = p
-        self.theta_cap = self.cfg.theta_init
-        #: External pressure multiplier on the cap (overload shedding
-        #: tightens it toward 0 so masters keep serving static traffic).
-        self.cap_scale = 1.0
-        #: When True, an attached control plane (repro.control) is the
-        #: sole writer of ``theta_cap``: the local response-ratio feedback
-        #: keeps estimating ``a``/``r`` but no longer actuates, so every
-        #: cap in force is traceable to a recorded CONTROL action.
-        self.external_cap = False
-        #: EWMA of the fraction of dynamic requests sent to masters.
-        self.master_fraction = 0.0
         self._resp_static: float | None = None
         self._resp_dynamic: float | None = None
         self._arr_static = 0
@@ -126,34 +171,6 @@ class ReservationController:
                 else s * response_time + (1 - s) * prev
             )
 
-    # -- gate ------------------------------------------------------------------------
-
-    def set_pressure(self, scale: float) -> None:
-        """Scale the effective cap by ``scale`` in [0, 1].
-
-        Called by the overload controller: ``0.0`` closes masters to new
-        dynamic work entirely; ``1.0`` restores the adaptive Theorem-1
-        cap.  The underlying ``theta_cap`` keeps adapting throughout, so
-        releasing pressure resumes from an up-to-date estimate.
-        """
-        self.cap_scale = min(1.0, max(0.0, scale))
-
-    @property
-    def effective_cap(self) -> float:
-        """The cap actually gated on: ``theta_cap * cap_scale``."""
-        return self.theta_cap * self.cap_scale
-
-    def admit_to_master(self) -> bool:
-        """May the next dynamic request consider master nodes?"""
-        return self.master_fraction < self.effective_cap
-
-    def record_decision(self, to_master: bool) -> None:
-        """Update the running master-admission fraction the gate uses."""
-        s = self.cfg.smoothing
-        self.master_fraction = (
-            s * (1.0 if to_master else 0.0) + (1 - s) * self.master_fraction
-        )
-
     # -- estimates --------------------------------------------------------------------
 
     @property
@@ -182,9 +199,9 @@ class ReservationController:
             self._arr_static = 0
             self._arr_dynamic = 0
         r_est = self.r_estimate
-        if (not self.external_cap and self._a_est is not None
-                and self._a_est > 0 and r_est is not None):
-            self.theta_cap = reservation_ratio(self._a_est, r_est, self.m, self.p)
+        if self._a_est is not None and self._a_est > 0 and r_est is not None:
+            self.gate.theta_cap = reservation_ratio(self._a_est, r_est,
+                                                    self.m, self.p)
             self.updates += 1
         while self._next_update <= now:
             self._next_update += self.cfg.update_period

@@ -37,22 +37,19 @@ class _FamilyStats:
 class DemandSampler:
     """Per-request-family CPU-weight (``w``) estimates.
 
+    The fallback for a family never sampled is not stored here: the
+    caller passes its own to :meth:`w` (the policy's ``default_w``).
+
     Parameters
     ----------
-    default_w:
-        Returned for families never sampled.
     max_samples_per_family:
         Offline sampling budget; further observations of a family are
         ignored (profiling every request would defeat the point).
     """
 
-    def __init__(self, default_w: float = DEFAULT_W,
-                 max_samples_per_family: int = 1000):
-        if not 0.0 <= default_w <= 1.0:
-            raise ValueError("default_w must be in [0, 1]")
+    def __init__(self, max_samples_per_family: int = 1000):
         if max_samples_per_family < 1:
             raise ValueError("max_samples_per_family must be >= 1")
-        self.default_w = default_w
         self.max_samples_per_family = max_samples_per_family
         self._families: Dict[str, _FamilyStats] = {}
 
@@ -100,10 +97,10 @@ class DemandSampler:
 
     # -- queries -------------------------------------------------------------------
 
-    def w(self, type_key: str) -> float:
-        """Estimated CPU weight for a family (``default_w`` if unseen)."""
+    def w(self, type_key: str, default: float = DEFAULT_W) -> float:
+        """Estimated CPU weight for a family (``default`` if unseen)."""
         stats = self._families.get(type_key)
-        return stats.w if stats is not None and stats.count > 0 else self.default_w
+        return stats.w if stats is not None and stats.count > 0 else default
 
     def sample_count(self, type_key: str) -> int:
         stats = self._families.get(type_key)

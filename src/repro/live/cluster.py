@@ -24,7 +24,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.reservation import ReservationConfig
 from repro.core.sampling import DemandSampler
 from repro.live.master import MasterServer
 from repro.live.node import READY_PREFIX
@@ -42,8 +41,6 @@ class LiveClusterConfig:
     master_workers: int = 2
     slave_workers: int = 2
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
-    reservation_cfg: Optional[ReservationConfig] = None
-    default_w: float = 0.5
     seed: int = 0
     request_timeout: float = 30.0
     host: str = "127.0.0.1"
@@ -70,8 +67,7 @@ class LiveCluster:
         self.master = MasterServer(
             node_id=0, num_nodes=self.cfg.num_nodes, num_masters=1,
             workers=self.cfg.master_workers, monitor=self.cfg.monitor,
-            reservation_cfg=self.cfg.reservation_cfg, sampler=sampler,
-            default_w=self.cfg.default_w, seed=self.cfg.seed,
+            sampler=sampler, seed=self.cfg.seed,
             request_timeout=self.cfg.request_timeout, host=self.cfg.host,
             traced=self.cfg.traced)
         self.procs: List[asyncio.subprocess.Process] = []

@@ -187,21 +187,6 @@ async def run_loadgen(host: str, port: int, trace: Sequence[Request],
     return result
 
 
-def scale_demands(trace: Sequence[Request], factor: float) -> List[Request]:
-    """Uniformly rescale every request's demand (live-host calibration)."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    out = []
-    for q in trace:
-        out.append(Request(
-            req_id=q.req_id, arrival_time=q.arrival_time, kind=q.kind,
-            cpu_demand=q.cpu_demand * factor, io_demand=q.io_demand * factor,
-            mem_pages=q.mem_pages, size_bytes=q.size_bytes,
-            type_key=q.type_key, cache_key=q.cache_key,
-            client_id=q.client_id))
-    return out
-
-
 def class_counts(trace: Sequence[Request]) -> Dict[str, int]:
     """Static/dynamic split of a trace (for run banners).
 

@@ -53,7 +53,6 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.core.policies import FrontEndMSPolicy, Route
 from repro.core.sampling import DemandSampler
-from repro.core.reservation import ReservationConfig
 from repro.live import protocol
 from repro.live.kernel import BusyMeter, LiveClock, LoadReporter, calibrate
 from repro.live.loadd import HeartbeatReceiver
@@ -267,9 +266,7 @@ class MasterServer:
     def __init__(self, node_id: int, num_nodes: int, num_masters: int = 1,
                  workers: int = 2,
                  monitor: Optional[MonitorConfig] = None,
-                 reservation_cfg: Optional[ReservationConfig] = None,
                  sampler: Optional[DemandSampler] = None,
-                 default_w: float = 0.5,
                  seed: int = 0,
                  request_timeout: float = 30.0,
                  host: str = "127.0.0.1",
@@ -288,10 +285,8 @@ class MasterServer:
                              self.receiver.active_requests)
         self.policy = FrontEndMSPolicy(
             num_nodes, num_masters, accept_node=node_id,
-            sampler=sampler if sampler is not None else DemandSampler(
-                default_w=default_w),
-            reservation_cfg=reservation_cfg,
-            default_w=default_w, seed=seed)
+            sampler=sampler if sampler is not None else DemandSampler(),
+            seed=seed)
         self.tracer: Optional[Tracer] = (
             Tracer(self.clock, SpanLog()) if traced else None)
         if self.tracer is not None:

@@ -120,6 +120,17 @@ class TestBakeoff:
                           seed=1, policies=("MS",), m=2)
         assert res.m == 2
 
+    def test_bakeoff_leaves_passed_config_alone(self):
+        from repro.sim.config import paper_sim_config
+
+        cfg = paper_sim_config(num_nodes=4, seed=1)
+        before = cfg.static_rate
+        res = run_bakeoff(KSU, lam=40, r=1 / 40, p=4, duration=1.0,
+                          mu_h=110.0, seed=1, policies=("MS",), m=2,
+                          cfg=cfg)
+        assert cfg.static_rate == before != 110.0
+        assert res.stretch("MS") >= 1.0
+
 
 class TestCheapHarnesses:
     def test_fig3_shape(self):

@@ -134,15 +134,15 @@ class TestCachingPolicy:
         miss = make_cgi(req_id=0)
         route = policy.route(miss, view)
         policy.on_complete(miss, 0.040, False, route.node_id)
-        resp_dynamic = policy.reservation._resp_dynamic
+        resp_dynamic = policy.tuner._resp_dynamic
         assert resp_dynamic == pytest.approx(0.040)
 
         hit = dataclasses.replace(make_cgi(req_id=1), cache_key="q")
         route = policy.route(hit, view)
         assert route.substitute is not None
         policy.on_complete(route.substitute, 0.002, True, route.node_id)
-        assert policy.reservation._resp_dynamic == resp_dynamic
-        assert policy.reservation._resp_static == pytest.approx(0.002)
+        assert policy.tuner._resp_dynamic == resp_dynamic
+        assert policy.tuner._resp_static == pytest.approx(0.002)
         assert "cgi:cache-hit" not in sampler.families
         assert not policy._dispatched_w
 

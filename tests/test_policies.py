@@ -183,13 +183,26 @@ class TestMSPolicy:
         route = policy.route(req, view)
         policy.on_complete(req, 0.05, policy.is_master(route.node_id),
                            route.node_id)
-        assert policy.reservation._resp_dynamic is not None
+        assert policy.tuner._resp_dynamic is not None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             MSPolicy(4, 0)
         with pytest.raises(ValueError):
             MSPolicy(4, 5)
+
+    def test_bad_default_w(self):
+        with pytest.raises(ValueError):
+            MSPolicy(4, 1, default_w=2.0)
+
+    def test_unsampled_family_falls_back_to_policy_w(self):
+        """The sampler holds no fallback of its own: an unseen family
+        gets the policy's ``default_w``, the one a SET_W action writes."""
+        policy = make_ms(4, 1, DemandSampler(), seed=1)
+        policy.trace_decisions = True
+        policy.default_w = 0.9
+        policy.route(make_cgi(req_id=0, type_key="cgi:unseen"), FakeView(4))
+        assert policy.last_decision[0] == 0.9
 
 
 class TestMSPrime:
@@ -285,9 +298,9 @@ class TestSetMasters:
 
     def test_reservation_m_follows(self):
         policy = make_ms(8, 2, seed=1)
-        assert policy.reservation.m == 2
+        assert policy.tuner.m == 2
         policy.set_masters({0, 1, 2, 3})
-        assert policy.reservation.m == 4
+        assert policy.tuner.m == 4
 
     def test_empty_set_rejected(self):
         policy = make_ms(8, 2)

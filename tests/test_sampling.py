@@ -26,8 +26,9 @@ class TestObserve:
         assert s.w("x") == pytest.approx(3.0 / 4.1)
 
     def test_unknown_family_uses_default(self):
-        s = DemandSampler(default_w=0.4)
-        assert s.w("nope") == pytest.approx(0.4)
+        s = DemandSampler()
+        assert s.w("nope") == pytest.approx(0.5)
+        assert s.w("nope", 0.4) == pytest.approx(0.4)
 
     def test_zero_observation_ignored(self):
         s = DemandSampler()
@@ -90,10 +91,6 @@ class TestOfflineTraining:
 
 
 class TestConstruction:
-    def test_bad_default_w(self):
-        with pytest.raises(ValueError):
-            DemandSampler(default_w=2.0)
-
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             DemandSampler(max_samples_per_family=0)
