@@ -225,6 +225,9 @@ class LoadReporter:
         self.udp_targets = list(udp_targets)
         self.local_observe = local_observe
         self.cfg = cfg or MonitorConfig()
+        #: This process's incarnation: receivers order heartbeats by
+        #: ``(boot, seq)``, so a restarted node is not taken for a replay.
+        self.boot = time.time_ns()
         self.seq = 0
         self.sent = 0
         self._task: Optional[asyncio.Task] = None
@@ -233,8 +236,9 @@ class LoadReporter:
     async def start(self) -> None:
         """Send the first heartbeat now, then one per period.
 
-        Beating at start, not one period later, lets a new node work off
-        its heartbeat probation a period sooner.
+        Beating at start, not one period later, lets a master trust a new
+        node as soon as it starts: a never-heard node is trusted from its
+        first heartbeat.
         """
         loop = asyncio.get_running_loop()
         if self.udp_targets:
@@ -260,7 +264,7 @@ class LoadReporter:
         cpu_idle, disk_avail = self.meter.sample(now)
         self.seq += 1
         payload = encode_heartbeat(self.node_id, self.seq, cpu_idle,
-                                   disk_avail, self.meter.active)
+                                   disk_avail, self.meter.active, self.boot)
         if self.local_observe is not None:
             self.local_observe(payload)
         if self._transport is not None:

@@ -99,6 +99,9 @@ class RemoteCall:
 #: ``ValueError``) or one out of range (``OverflowError``).
 _MALFORMED = (TypeError, ValueError, OverflowError)
 
+#: Interval at which :meth:`MasterServer.wait_healthy` re-checks, seconds.
+_HEALTHY_POLL = 0.005
+
 
 class PeerConnection:
     """Persistent framed-TCP channel from a master to one executing node.
@@ -343,7 +346,12 @@ class MasterServer:
             await old.close()
 
     async def wait_healthy(self, timeout: float = 10.0) -> None:
-        """Block until every node is connected, heard, and off probation."""
+        """Block until every node is connected, heard, and off probation.
+
+        Polls every few milliseconds: a new node is trusted on its first
+        heartbeat, usually before its connect returns, so boot ends within
+        a poll of the last connect.
+        """
         deadline = self.clock.now + timeout
         while True:
             unconnected = [i for i in range(self.num_nodes)
@@ -353,7 +361,7 @@ class MasterServer:
                 return
             if self.clock.now >= deadline:
                 break
-            await asyncio.sleep(0.05)
+            await asyncio.sleep(_HEALTHY_POLL)
         suspect = [i for i in range(self.num_nodes)
                    if self.view.is_suspect(i)]
         dead = [i for i in range(self.num_nodes) if not self.view.is_alive(i)]

@@ -63,11 +63,16 @@ Load reports travel beside the frames, one UDP datagram per heartbeat
 (JSON, no length prefix; :func:`encode_heartbeat` /
 :func:`decode_heartbeat`)::
 
-    {"node": 3, "seq": 17, "cpu_idle": 0.93, "disk_avail": 0.71, "active": 2}
+    {"node": 3, "seq": 17, "cpu_idle": 0.93, "disk_avail": 0.71, "active": 2,
+     "boot": 1792345678901234567}
 
-Sequence numbers are per-node monotonic; the receiving load table drops
+``boot`` identifies the sending process (its reporter's creation time in
+nanoseconds) and ``seq`` counts that process's heartbeats from 1.  The
+receiver orders each node's heartbeats by ``(boot, seq)`` and drops
 reordered or replayed packets (UDP may duplicate and reorder even on
-loopback).
+loopback); a restarted process sends a later ``boot``, so its fresh
+``seq`` is not taken for a replay.  A datagram without ``boot`` reads as
+boot 0, so senders predating the field keep working.
 """
 
 from __future__ import annotations
@@ -219,11 +224,13 @@ async def expect_hello(reader: asyncio.StreamReader) -> dict:
 
 
 def encode_heartbeat(node_id: int, seq: int, cpu_idle: float,
-                     disk_avail: float, active: int) -> bytes:
-    return json.dumps(
-        {"node": node_id, "seq": seq, "cpu_idle": cpu_idle,
-         "disk_avail": disk_avail, "active": active},
-        separators=(",", ":")).encode("utf-8")
+                     disk_avail: float, active: int, boot: int = 0) -> bytes:
+    """One heartbeat datagram; boot 0 is sent as no ``boot`` field."""
+    msg = {"node": node_id, "seq": seq, "cpu_idle": cpu_idle,
+           "disk_avail": disk_avail, "active": active}
+    if boot:
+        msg["boot"] = boot
+    return json.dumps(msg, separators=(",", ":")).encode("utf-8")
 
 
 def decode_heartbeat(data: bytes) -> Optional[dict]:

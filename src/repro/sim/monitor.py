@@ -13,13 +13,16 @@ staleness a real deployment has); the live master's
 :class:`LoadView` serves it to the dispatch policies on both substrates.
 
 A node is *suspect* while on probation: it must pass ``probation_samples``
-samples in a row, counted from a failed probe, a re-registration, a silence
-of more than ``suspect_after``, or (never heard) its first sample.  A table
-with a clock (the live master's) judges silence at every sample and at every
-read past the earliest ``last_heard + suspect_after``; reads in between cost
-no numpy work.  A table without one (the simulator's) never judges it: its
-monitor probes every node at every tick and reports a failed probe itself,
-so its flags change only at ticks.
+samples in a row, counted from a failed probe, a re-registration, or a
+silence of more than ``suspect_after``.  A node never heard is suspect
+until its first sample and trusted from it: probation guards against a
+returning node's first reports, which describe an idle that no longer
+exists, and a new node has no such history.  A table with a clock (the
+live master's) judges silence at every sample and at every read past the
+earliest ``last_heard + suspect_after``; reads in between cost no numpy
+work.  A table without one (the simulator's) never judges it: its monitor
+probes every node at every tick and reports a failed probe itself, so its
+flags change only at ticks.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ class LoadTable:
         self.cfg.validate()
         #: Anything with a ``.now`` to judge silence by.  A table without
         #: one is told of every failed probe by its feed, so it starts out
-        #: trusting every node; one with a clock trusts only nodes it heard.
+        #: trusting every node; one with a clock trusts a node from its
+        #: first sample.
         self.clock = clock
         trusted = clock is None
         #: Smoothed fractions of idle CPU time and of available disk
@@ -88,12 +92,17 @@ class LoadTable:
 
         The ratios are clamped to [0, 1] and smoothed into the table, and
         the sample counts towards the node's probation.  On a clocked table
-        a sample after more than ``suspect_after`` of silence first
-        restarts that probation, and every node's staleness is re-judged.
+        a never-heard node's first sample ends its probation, a sample
+        after more than ``suspect_after`` of silence first restarts it, and
+        every node's staleness is re-judged.
         """
         clocked = self.clock is not None
-        if clocked and now - self.last_heard[node] > self.cfg.suspect_after:
-            self._ok_streak[node] = 0
+        if clocked:
+            silence = now - self.last_heard[node]
+            if silence == math.inf:          # never heard: no stale idle
+                self._ok_streak[node] = self.cfg.probation_samples - 1
+            elif silence > self.cfg.suspect_after:
+                self._ok_streak[node] = 0
         s = self.cfg.smoothing
         self.cpu_idle[node] = (s * min(1.0, max(0.0, cpu_idle))
                                + (1.0 - s) * self.cpu_idle[node])

@@ -1,8 +1,12 @@
-"""The paired perf gate's verdict on fixed figures (no perfbench run)."""
+"""The paired perf gate's verdict and figure extraction on fixed
+figures (no perfbench run)."""
 
 from __future__ import annotations
 
-from benchmarks.ab_gate import verdict
+import json
+import math
+
+from benchmarks.ab_gate import CPU_S, GATES, read_run, verdict
 
 BOUND = 0.25
 ALL_OK = [True] * 5
@@ -51,3 +55,43 @@ def test_any_failed_change_run_fails():
                              BOUND)
     assert not passed
     assert "1 change-side run(s) failed" in reason
+
+
+def test_a_base_run_without_a_figure_drops_its_pair():
+    base = [4.0, math.nan, 4.0, 4.0, 4.0]
+    change = [6.0, 1.0, 6.0, 3.0, 6.0]  # 1.5 ratio, loses 3/4 kept pairs
+    passed, reason = verdict(base, change, ALL_OK, BOUND)
+    assert not passed
+    assert "median ratio 1.500" in reason and "lost 3/4" in reason
+    assert not verdict([math.nan] * 5, [4.0] * 5, ALL_OK, BOUND)[0]
+
+
+def record(correct: bool, setup_s: float) -> str:
+    """perfbench's stdout: a human table, then the JSON record."""
+    return ("== live_ucb_open (end-to-end)\n"
+            f"  setup_s {setup_s} s\n"
+            + json.dumps({"correct": correct, "attempted": 400, "failed": 0,
+                          "metrics": {"setup_s": {"value": setup_s,
+                                                  "unit": "s"}}}))
+
+
+def test_read_run_takes_the_metric_from_the_last_line():
+    assert read_run(record(True, 0.183), "setup_s", 9.5) == (0.183, True)
+    assert read_run(record(False, 0.183), "setup_s", 9.5) == (0.183, False)
+
+
+def test_read_run_takes_cpu_seconds_from_the_process():
+    assert read_run(record(True, 0.183), CPU_S, 9.5) == (9.5, True)
+
+
+def test_read_run_without_a_record_or_metric_has_no_figure():
+    for stdout in ("", "Traceback (most recent call last):\n  boom",
+                   json.dumps({"correct": True, "metrics": {}})):
+        value, correct = read_run(stdout, "setup_s", 9.5)
+        assert math.isnan(value) and not correct
+
+
+def test_the_live_boot_is_gated_on_its_setup_time():
+    live = [g for g in GATES if g.workload == "live_ucb_open"]
+    assert [(g.pairs, g.seconds, g.figure, g.bound_metric)
+            for g in live] == [(5, 2, "setup_s", "setup_s")]

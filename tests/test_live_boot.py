@@ -2,8 +2,9 @@
 
 A slave process imports no numpy and no simulator; ``LiveCluster.start``
 spawns every slave at once and, if one fails, leaves no child process or
-task behind; and heartbeat probation restarts only for returning nodes —
-heartbeats a new node sent before its master connected still count.
+task behind; a new node is trusted on its first heartbeat, so boot waits
+for no second one; and heartbeat probation restarts only for returning
+nodes — heartbeats a new node sent before its master connected count.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +111,48 @@ def test_failed_spawn_cancels_siblings_and_reaps_children(monkeypatch):
     assert cluster.procs == []
 
 
+def test_boot_does_not_wait_for_a_second_heartbeat():
+    """A new node is trusted on its first heartbeat, so with a 5 s period
+    a 1-master/2-slave boot returns well within one period; waiting for
+    a second heartbeat would take at least 5 s."""
+    monitor = MonitorConfig(period=5.0, suspect_after=30.0)
+
+    async def scenario():
+        cluster = LiveCluster(LiveClusterConfig(monitor=monitor))
+        t0 = time.perf_counter()
+        await cluster.start()
+        try:
+            return time.perf_counter() - t0, cluster.master.view.all_healthy()
+        finally:
+            await cluster.stop()
+
+    elapsed, healthy = asyncio.run(scenario())
+    assert healthy
+    assert elapsed < 2.5
+
+
+def test_reregistered_node_sits_out_probation_samples_heartbeats():
+    """A node heard and trusted, then re-registered by the control plane,
+    needs ``probation_samples`` fresh heartbeats again: trust on the
+    first heartbeat is for a node never heard."""
+    monitor = MonitorConfig(period=0.2, suspect_after=30.0,
+                            probation_samples=3)
+    master = MasterServer(node_id=0, num_nodes=2, workers=1,
+                          monitor=monitor)
+    receiver, view = master.receiver, master.view
+    seen = []
+    try:
+        for seq in range(1, 6):
+            receiver.observe(1, seq, 1.0, 1.0, 0, now=master.clock.now)
+            seen.append(view.is_suspect(1))
+            if seq == 1:
+                assert LiveAdapter(master).apply(ControlAction(PROMOTE, 1))
+                seen.append(view.is_suspect(1))
+    finally:
+        master.pool.shutdown()
+    assert seen == [False, True, True, True, False, False]
+
+
 async def until_dead(table, node_id: int) -> None:
     while table.alive[node_id]:
         await asyncio.sleep(0.01)
@@ -175,7 +219,7 @@ def test_probation_restarts_only_for_returning_nodes():
             pool.shutdown()
 
     assert asyncio.run(scenario()) == {
-        "first_connect": True, "second_beat": False,
+        "first_connect": False, "second_beat": False,
         "reconnect": True, "reconnect_one_beat": True,
         "reconnect_two_beats": False, "unconnected_suspect": False,
         "promoted": True}

@@ -64,12 +64,11 @@ def test_never_heard_is_suspect_until_probation_clears():
     _, receiver, view = live(2, FakeClock(0.0))
     assert view.is_suspect(0) and view.is_suspect(1)
     assert not view.all_healthy()
-    # One heartbeat is not enough (probation_samples=2)...
+    # A node with no history is trusted on its first heartbeat, even
+    # with probation_samples=2...
     receiver.observe(0, 1, 1.0, 1.0, 0, now=0.0)
-    assert view.is_suspect(0)
-    # ...a second consecutive one clears it.
-    receiver.observe(0, 2, 1.0, 1.0, 0, now=0.2)
     assert not view.is_suspect(0)
+    # ...and the unheard node stays suspect.
     assert view.is_suspect(1)
     assert list(view.healthy_array()) == [True, False]
 
@@ -106,6 +105,57 @@ def test_dead_flag_and_reconnect_probation():
     # Reconnection puts the node back on probation despite fresh samples.
     assert view.is_alive(0)
     assert view.is_suspect(0)
+
+
+def test_restarted_node_is_heard_again_on_probation():
+    """A node restarted under the same id counts ``seq`` from 1 again
+    behind a later ``boot``: its heartbeats are accepted, not dropped as
+    replays, and restart its probation; the old process's late datagrams
+    are dropped."""
+    clock = FakeClock(0.0)
+    _, receiver, view = live(1, clock)
+
+    def reporter() -> LoadReporter:
+        return LoadReporter(0, BusyMeter(capacity=1, now=clock.now), clock,
+                            cfg=cfg())
+
+    def beat(rep: LoadReporter) -> bytes:
+        clock.now += 0.2
+        payload = rep.beat_once(clock.now)
+        assert receiver.observe_datagram(payload, clock.now)
+        return payload
+
+    old = reporter()
+    late = [beat(old) for _ in range(5)]
+    assert not view.is_suspect(0)
+    new = reporter()
+    assert new.boot > old.boot
+    beat(new)
+    assert view.is_suspect(0)            # probation_samples=2
+    assert not receiver.observe_datagram(late[-1], clock.now)
+    beat(new)
+    assert not view.is_suspect(0)
+    for _ in range(3):
+        beat(new)
+    assert receiver.heartbeats == 10 and receiver.rejected == 1
+
+
+def test_heartbeat_without_boot_reads_as_boot_zero():
+    _, receiver, view = live(1, FakeClock(0.0))
+    assert decode_heartbeat(encode_heartbeat(0, 1, 1.0, 1.0, 0, boot=7)
+                            )["boot"] == 7
+    assert receiver.observe_datagram(encode_heartbeat(0, 1, 1.0, 1.0, 0),
+                                     now=0.0)
+    assert receiver.observe_datagram(encode_heartbeat(0, 2, 1.0, 1.0, 0),
+                                     now=0.2)
+    # A sender with a boot is a later process than one without...
+    assert receiver.observe_datagram(
+        encode_heartbeat(0, 1, 1.0, 1.0, 0, boot=7), now=0.4)
+    assert view.is_suspect(0)
+    # ...so the boot-less sender's datagrams are now stale.
+    assert not receiver.observe_datagram(
+        encode_heartbeat(0, 3, 1.0, 1.0, 0), now=0.6)
+    assert receiver.rejected == 1
 
 
 def test_busy_meter_windows():

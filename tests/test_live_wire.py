@@ -94,8 +94,8 @@ def test_arbitrary_datagram_bytes_never_raise(data):
 @FUZZ
 @given(msg=st.dictionaries(
     st.sampled_from(["node", "seq", "cpu_idle", "disk_avail", "active",
-                     "op"]),
-    json_values, max_size=6))
+                     "boot", "op"]),
+    json_values, max_size=7))
 def test_arbitrary_heartbeat_dicts_never_raise(msg):
     data = json.dumps(msg).encode()
     receiver = HeartbeatReceiver(LoadTable(2))
@@ -106,8 +106,9 @@ def test_arbitrary_heartbeat_dicts_never_raise(msg):
 @pytest.mark.parametrize("fields", [
     {"seq": 1e300}, {"seq": 2 ** 63}, {"seq": 1, "active": 1e300},
     {"seq": 1, "active": -(2 ** 64)}, {"seq": 1, "cpu_idle": 10 ** 400},
+    {"seq": 1, "boot": 2 ** 63},
 ], ids=["seq 1e300", "seq 2**63", "active 1e300", "active -2**64",
-        "cpu_idle 10**400"])
+        "cpu_idle 10**400", "boot 2**63"])
 def test_heartbeat_field_past_int64_is_rejected(fields):
     receiver = HeartbeatReceiver(LoadTable(1))
     assert not receiver.observe_datagram(

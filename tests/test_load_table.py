@@ -111,6 +111,7 @@ class HeartbeatReference:
 
     def observe(self, i: int, cpu_idle: float, disk_avail: float,
                 now: float) -> None:
+        never_heard = self.last_heard[i] == -np.inf
         was_stale = (now - self.last_heard[i]) > self.cfg.suspect_after
         self.last_heard[i] = now
         s = self.cfg.smoothing
@@ -118,7 +119,10 @@ class HeartbeatReference:
                             + (1.0 - s) * self.cpu_idle[i])
         self.disk_avail[i] = (s * min(1.0, max(0.0, disk_avail))
                               + (1.0 - s) * self.disk_avail[i])
-        self.ok_streak[i] = 1 if was_stale else self.ok_streak[i] + 1
+        if never_heard:
+            self.ok_streak[i] = self.cfg.probation_samples
+        else:
+            self.ok_streak[i] = 1 if was_stale else self.ok_streak[i] + 1
 
     def suspect_array(self, now: float) -> np.ndarray:
         stale = (now - self.last_heard) > self.cfg.suspect_after
